@@ -15,7 +15,7 @@
 //! time, and eviction (deletion) must precede creation once the cache
 //! limit is reached.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use seuss_net::Bridge;
 use seuss_trace::{TraceEvent, Tracer};
@@ -77,7 +77,9 @@ impl std::error::Error for DockerError {}
 
 /// The Docker engine on the Linux compute node.
 pub struct DockerEngine {
-    containers: HashMap<ContainerId, Container>,
+    /// Ordered by id, so every "pick one" query below chooses the lowest
+    /// matching `ContainerId` and replays identically.
+    containers: BTreeMap<ContainerId, Container>,
     /// The shared bridge all veth endpoints attach to.
     pub bridge: Bridge,
     /// Maximum containers the node will keep (OpenWhisk cache limit).
@@ -115,7 +117,7 @@ impl DockerEngine {
     /// Calibrated to §7 with the paper's 1 024-container cache limit.
     pub fn paper(seed: u64) -> Self {
         DockerEngine {
-            containers: HashMap::new(),
+            containers: BTreeMap::new(),
             bridge: Bridge::new(seed),
             cache_limit: 1024,
             footprint_mib: 29.3,
@@ -228,7 +230,7 @@ impl DockerEngine {
         Ok(self.delete_latency)
     }
 
-    /// An idle container bound to `f`, if any (the hot path).
+    /// The lowest-id idle container bound to `f`, if any (the hot path).
     pub fn idle_for(&self, f: FnId) -> Option<ContainerId> {
         self.containers
             .iter()
@@ -245,7 +247,7 @@ impl DockerEngine {
             .count()
     }
 
-    /// An unbound stemcell, if any.
+    /// The lowest-id unbound stemcell, if any.
     pub fn any_stemcell(&self) -> Option<ContainerId> {
         self.containers
             .iter()
@@ -254,7 +256,8 @@ impl DockerEngine {
             .next()
     }
 
-    /// The least-recently-used idle or stemcell container (evict victim).
+    /// The least-recently-used idle or stemcell container (evict victim);
+    /// equal `last_use`s go to the lowest id.
     pub fn lru_evictable(&self) -> Option<ContainerId> {
         self.containers
             .iter()

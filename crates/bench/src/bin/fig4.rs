@@ -5,9 +5,8 @@
 //! cargo run --release -p seuss-bench --bin fig4 [max_set_size] [mem_mib] [--workers N]
 //! ```
 //!
-//! The full sweep (64 … 65536 on an 88 GiB node) takes a while; the
-//! default stops at 16384 with a 24 GiB node, which shows the whole
-//! shape. Output is a text series plus a log-scale ASCII plot.
+//! The default is the paper-scale sweep: 64 … 65536 functions on an
+//! 88 GiB node. Output is a text series plus a log-scale ASCII plot.
 
 use seuss_bench::{positionals, run_fig4, workers_arg, Table};
 
@@ -22,11 +21,11 @@ fn bar(v: f64, max: f64, width: usize) -> String {
 
 fn main() {
     let args = positionals();
-    let max_m: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(16_384);
+    let max_m: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(65_536);
     let mem_mib: u64 = args
         .get(1)
         .and_then(|s| s.parse().ok())
-        .unwrap_or(24 * 1024);
+        .unwrap_or(88 * 1024);
     let workers = workers_arg(1);
     let mut sizes = Vec::new();
     let mut m = 64u64;

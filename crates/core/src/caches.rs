@@ -4,7 +4,7 @@
 //! allows deleting (no active UCs); the idle-UC cache is additionally
 //! drained by the OOM daemon under memory pressure.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use seuss_mem::PhysMemory;
 use seuss_paging::Mmu;
@@ -13,19 +13,25 @@ use seuss_unikernel::{ImageStore, UcContext, UcImageId};
 
 use crate::node::FnId;
 
-/// One cached function image with its recency and insertion order.
+/// One cached function image and its place in the eviction order.
 struct FnCacheEntry {
     img: UcImageId,
-    last_use: u64,
-    /// Monotone insertion sequence — the LRU tie-break. Without it, two
-    /// entries sharing a `last_use` would be ordered by `HashMap`
-    /// iteration, which varies run to run.
-    seq: u64,
+    /// The image's snapshot.
+    sid: Option<SnapshotId>,
+    /// `(last_use, seq)`, this entry's key in the LRU index. `seq` is the
+    /// monotone insertion sequence — the tie-break between equal
+    /// `last_use`s, so the victim never depends on map iteration order.
+    key: (u64, u64),
 }
 
 /// LRU cache of function-specific UC images, keyed by function identity.
 pub struct FnImageCache {
     entries: HashMap<FnId, FnCacheEntry>,
+    /// Every entry's function by `(last_use, seq)`: eviction order,
+    /// least recently used first.
+    lru: BTreeMap<(u64, u64), FnId>,
+    /// The snapshots behind the cached images.
+    snapshots: HashSet<SnapshotId>,
     capacity: usize,
     clock: u64,
     next_seq: u64,
@@ -42,6 +48,8 @@ impl FnImageCache {
     pub fn new(capacity: usize) -> Self {
         FnImageCache {
             entries: HashMap::new(),
+            lru: BTreeMap::new(),
+            snapshots: HashSet::new(),
             capacity,
             clock: 0,
             next_seq: 0,
@@ -66,12 +74,19 @@ impl FnImageCache {
         self.entries.get(&f).map(|e| e.img)
     }
 
+    /// Whether a cached image is backed by snapshot `sid`.
+    pub fn holds_snapshot(&self, sid: SnapshotId) -> bool {
+        self.snapshots.contains(&sid)
+    }
+
     /// Looks up the image for a function, refreshing recency.
     pub fn lookup(&mut self, f: FnId) -> Option<UcImageId> {
         self.clock += 1;
         match self.entries.get_mut(&f) {
             Some(e) => {
-                e.last_use = self.clock;
+                self.lru.remove(&e.key);
+                e.key.0 = self.clock;
+                self.lru.insert(e.key, f);
                 self.hits += 1;
                 Some(e.img)
             }
@@ -103,21 +118,17 @@ impl FnImageCache {
                 None => break,
             }
         }
-        let seq = self.next_seq;
+        let key = (self.clock, self.next_seq);
         self.next_seq += 1;
-        if let Some(old) = self.entries.insert(
-            f,
-            FnCacheEntry {
-                img,
-                last_use: self.clock,
-                seq,
-            },
-        ) {
-            let sid = images.snapshot_of(old.img).ok();
+        let sid = images.snapshot_of(img).ok();
+        if let Some(old) = self.unlink(f) {
             if images.delete(mmu, mem, snaps, old.img).is_ok() {
-                deleted.extend(sid);
+                deleted.extend(old.sid);
             }
         }
+        self.entries.insert(f, FnCacheEntry { img, sid, key });
+        self.lru.insert(key, f);
+        self.snapshots.extend(sid);
         deleted
     }
 
@@ -143,41 +154,37 @@ impl FnImageCache {
         snaps: &mut SnapshotStore,
         images: &mut ImageStore,
     ) -> Option<Option<SnapshotId>> {
-        let mut candidates: Vec<(FnId, (u64, u64), UcImageId)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| {
-                images
-                    .snapshot_of(e.img)
-                    .ok()
-                    .and_then(|s| snaps.get(s).ok())
-                    .map(|s| s.active_ucs() == 0)
-                    .unwrap_or(true)
-            })
-            .map(|(f, e)| (*f, (e.last_use, e.seq), e.img))
-            .collect();
-        // Last-use first, then insertion sequence: the tie-break makes the
-        // victim independent of `HashMap` iteration order.
-        candidates.sort_by_key(|&(_, key, _)| key);
-        let &(f, _, img) = candidates.first()?;
-        self.entries.remove(&f);
+        // The first deletable entry in LRU order: images with active UCs
+        // are skipped, so the walk costs the victim plus the live images
+        // older than it.
+        let f = self.lru.values().copied().find(|f| {
+            self.entries[f]
+                .sid
+                .and_then(|s| snaps.get(s).ok())
+                .map(|s| s.active_ucs() == 0)
+                .unwrap_or(true)
+        })?;
+        let e = self.unlink(f).expect("LRU index lists only cached entries");
         self.evictions += 1;
-        let sid = images.snapshot_of(img).ok();
-        match images.delete(mmu, mem, snaps, img) {
-            Ok(()) => Some(sid),
+        match images.delete(mmu, mem, snaps, e.img) {
+            Ok(()) => Some(e.sid),
             Err(_) => Some(None),
         }
     }
 
-    /// All cached images, in no particular order (callers needing a
-    /// deterministic choice must impose their own total order).
-    pub fn iter_images(&self) -> impl Iterator<Item = UcImageId> + '_ {
-        self.entries.values().map(|e| e.img)
-    }
-
     /// Removes and returns a specific entry without deleting its image.
     pub fn remove(&mut self, f: FnId) -> Option<UcImageId> {
-        self.entries.remove(&f).map(|e| e.img)
+        self.unlink(f).map(|e| e.img)
+    }
+
+    /// Drops `f`'s entry from the map and both indices.
+    fn unlink(&mut self, f: FnId) -> Option<FnCacheEntry> {
+        let e = self.entries.remove(&f)?;
+        self.lru.remove(&e.key);
+        if let Some(sid) = e.sid {
+            self.snapshots.remove(&sid);
+        }
+        Some(e)
     }
 
     /// Forces an entry's recency to a given value, fabricating the ties
@@ -185,19 +192,50 @@ impl FnImageCache {
     #[cfg(test)]
     pub(crate) fn force_last_use(&mut self, f: FnId, t: u64) {
         if let Some(e) = self.entries.get_mut(&f) {
-            e.last_use = t;
+            self.lru.remove(&e.key);
+            e.key.0 = t;
+            self.lru.insert(e.key, f);
         }
     }
 }
 
+/// End marker of the idle cache's slot links.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot's place in the idle cache's cache-time list.
+#[derive(Clone, Copy)]
+struct Link {
+    f: FnId,
+    /// Neighbours in cache-time order (`NIL` at either end). A free slot
+    /// chains the free list through `next`.
+    prev: u32,
+    next: u32,
+}
+
 /// Cache of idle ("hot") UCs, per function, with global and per-function
 /// caps and LRU reclaim for the OOM daemon.
+///
+/// Every cached UC sits in a slab slot threaded on one list in
+/// cache-time order, so the LRU victim is the list head and every
+/// operation is O(1) (plus a shift of one function's short slot list).
+/// The links live apart from the UCs, in a dense array, so relinking
+/// does not touch the UCs next to the one taken. Freed slots and emptied
+/// per-function lists are kept for reuse: once warm, `take` and `put` do
+/// not allocate.
 pub struct IdleUcCache {
-    by_fn: HashMap<FnId, Vec<(UcContext, u64)>>,
+    /// The slab: `None` marks a free slot.
+    ucs: Vec<Option<UcContext>>,
+    links: Vec<Link>,
+    /// Oldest and newest cached slot.
+    head: u32,
+    tail: u32,
+    /// First free slot.
+    free: u32,
+    /// Each function's slots, oldest first.
+    by_fn: HashMap<FnId, Vec<u32>>,
     per_fn: usize,
     total_cap: usize,
     total: usize,
-    clock: u64,
     /// Hot hits served.
     pub hits: u64,
     /// UCs reclaimed (by pressure or capacity).
@@ -208,11 +246,15 @@ impl IdleUcCache {
     /// Creates a cache with per-function and global caps.
     pub fn new(per_fn: usize, total_cap: usize) -> Self {
         IdleUcCache {
+            ucs: Vec::new(),
+            links: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
             by_fn: HashMap::new(),
             per_fn,
             total_cap,
             total: 0,
-            clock: 0,
             hits: 0,
             reclaimed: 0,
         }
@@ -233,26 +275,27 @@ impl IdleUcCache {
         self.by_fn.get(&f).map(|v| v.len()).unwrap_or(0)
     }
 
-    /// Takes an idle UC for `f` if one is cached (the hot path).
+    /// Takes an idle UC for `f` if one is cached (the hot path): the most
+    /// recently cached one.
     pub fn take(&mut self, f: FnId) -> Option<UcContext> {
-        let v = self.by_fn.get_mut(&f)?;
-        let (uc, _) = v.pop()?;
+        let s = self.by_fn.get_mut(&f)?.pop()?;
         self.total -= 1;
         self.hits += 1;
-        Some(uc)
+        Some(self.unlink(s))
     }
 
     /// Caches a finished UC for future hot invocations. Returns a UC that
     /// had to be displaced (capacity), which the caller must destroy.
     pub fn put(&mut self, f: FnId, uc: UcContext) -> Option<UcContext> {
-        self.clock += 1;
+        let s = self.link(f, uc);
         let v = self.by_fn.entry(f).or_default();
-        v.push((uc, self.clock));
+        v.push(s);
         self.total += 1;
         if v.len() > self.per_fn {
+            let oldest = v.remove(0);
             self.total -= 1;
             self.reclaimed += 1;
-            return Some(v.remove(0).0);
+            return Some(self.unlink(oldest));
         }
         if self.total > self.total_cap {
             return self.pop_lru();
@@ -262,20 +305,64 @@ impl IdleUcCache {
 
     /// Removes the least-recently-cached idle UC (OOM-daemon reclaim).
     pub fn pop_lru(&mut self) -> Option<UcContext> {
-        // Tie-break equal cache times by function id: `min_by_key` keeps
-        // the first of equal keys in `HashMap` iteration order, which is
-        // not stable across runs.
-        let f = self
+        if self.head == NIL {
+            return None;
+        }
+        let s = self.head;
+        let v = self
             .by_fn
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .min_by_key(|(f, v)| (v.first().map(|(_, t)| *t).unwrap_or(u64::MAX), **f))
-            .map(|(f, _)| *f)?;
-        let v = self.by_fn.get_mut(&f)?;
-        let (uc, _) = v.remove(0);
+            .get_mut(&self.links[s as usize].f)
+            .expect("a cached slot is listed under its function");
+        // The globally oldest UC is also its function's oldest.
+        debug_assert_eq!(v.first(), Some(&s));
+        v.remove(0);
         self.total -= 1;
         self.reclaimed += 1;
-        Some(uc)
+        Some(self.unlink(s))
+    }
+
+    /// Stores `uc` in a free (or new) slot at the newest end of the list.
+    fn link(&mut self, f: FnId, uc: UcContext) -> u32 {
+        let link = Link {
+            f,
+            prev: self.tail,
+            next: NIL,
+        };
+        let s = if self.free == NIL {
+            self.ucs.push(Some(uc));
+            self.links.push(link);
+            u32::try_from(self.links.len() - 1).expect("idle slots fit u32")
+        } else {
+            let s = self.free;
+            self.free = self.links[s as usize].next;
+            self.ucs[s as usize] = Some(uc);
+            self.links[s as usize] = link;
+            s
+        };
+        match self.tail {
+            NIL => self.head = s,
+            t => self.links[t as usize].next = s,
+        }
+        self.tail = s;
+        s
+    }
+
+    /// Unthreads slot `s` from the list, frees it, and returns its UC.
+    fn unlink(&mut self, s: u32) -> UcContext {
+        let Link { prev, next, .. } = self.links[s as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.links[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.links[n as usize].prev = prev,
+        }
+        self.links[s as usize].next = self.free;
+        self.free = s;
+        self.ucs[s as usize]
+            .take()
+            .expect("a linked slot holds a UC")
     }
 }
 

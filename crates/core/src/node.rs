@@ -403,44 +403,26 @@ impl SeussNode {
     /// resident, idle, childless function snapshot and demote its diff to
     /// the device. The batched write cost accrues to the next deploy.
     fn try_demote_coldest(&mut self) -> bool {
-        let Some(tier) = self.tier.as_ref() else {
+        let Some(tier) = self.tier.as_mut() else {
             return false;
         };
         if tier.reclaim_mode() != ReclaimMode::DemoteColdest {
             return false;
         }
-        let candidates: Vec<SnapshotId> = self
-            .fn_cache
-            .iter_images()
-            .filter_map(|img| self.images.snapshot_of(img).ok())
-            .filter(|&s| !tier.is_demoted(s))
-            .filter(|&s| {
-                self.snaps
-                    .get(s)
-                    .map(|sn| sn.active_ucs() == 0 && sn.children() == 0)
-                    .unwrap_or(false)
-            })
-            .collect();
-        let mut remaining = candidates;
-        while let Some(victim) = self
-            .tier
-            .as_ref()
-            .and_then(|t| t.coldest(remaining.iter().copied()))
-        {
-            remaining.retain(|&s| s != victim);
-            let tier = self.tier.as_mut().expect("checked above");
-            match tier.demote(&mut self.mmu, &mut self.mem, &self.snaps, victim) {
-                Ok(out) => {
-                    self.tracer
-                        .event(TraceEvent::TierDemote { pages: out.pages });
-                    self.pending_demote_cost += out.cost;
-                    return true;
-                }
-                // Ineligible (e.g. an empty diff) — try the next-coldest.
-                Err(_) => continue,
+        // Every function snapshot is noted on the tier at capture, so the
+        // tier's LRU index covers every cached candidate.
+        let fn_cache = &self.fn_cache;
+        match tier.demote_coldest(&mut self.mmu, &mut self.mem, &self.snaps, |s| {
+            fn_cache.holds_snapshot(s)
+        }) {
+            Some((_, out)) => {
+                self.tracer
+                    .event(TraceEvent::TierDemote { pages: out.pages });
+                self.pending_demote_cost += out.cost;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Drops any storage-tier state held for a deleted snapshot.

@@ -665,6 +665,48 @@ impl Mmu {
         }
     }
 
+    /// The leaf mappings of `child` that `parent` does not share
+    /// frame-for-frame, as `(virtual page number, frame)` pairs in address
+    /// order: every present page of `child` whose frame differs from
+    /// `parent`'s at the same vpn, or that `parent` does not map. Equals
+    /// `collect_mapped(child)` minus the pairs in `collect_mapped(parent)`.
+    ///
+    /// The two trees are walked in lockstep, and a subtree `child` still
+    /// shares by `TableId` is skipped without being read: the same table
+    /// means the same leaves. A function snapshot is a root-only clone of
+    /// a space deployed from its parent, so it shares every subtree that
+    /// space never wrote, and the walk costs the diff, not the address
+    /// space.
+    pub fn collect_diff(&self, parent: TableId, child: TableId) -> Vec<(u64, FrameId)> {
+        let mut out = Vec::new();
+        self.diff_rec(Some(parent), child, 0, 4, &mut out);
+        out
+    }
+
+    fn diff_rec(
+        &self,
+        parent: Option<TableId>,
+        child: TableId,
+        base_vpn: u64,
+        level: u8,
+        out: &mut Vec<(u64, FrameId)>,
+    ) {
+        let pnode = parent.map(|p| self.store.node(p));
+        for (i, entry) in self.store.node(child).entries.iter().enumerate() {
+            let theirs = pnode.map_or(Entry::EMPTY, |n| n.entries[i]);
+            let vpn = base_vpn | ((i as u64) << (9 * (level as u64 - 1)));
+            if entry.is_table() {
+                let sub = entry.next_table();
+                let psub = theirs.is_table().then(|| theirs.next_table());
+                if psub != Some(sub) {
+                    self.diff_rec(psub, sub, vpn, level - 1, out);
+                }
+            } else if entry.is_page() && !(theirs.is_page() && theirs.frame() == entry.frame()) {
+                out.push((vpn, entry.frame()));
+            }
+        }
+    }
+
     /// Number of page-table pages reachable from `root` (shared counted once).
     pub fn table_pages(&self, root: TableId) -> u64 {
         let mut count = 0u64;

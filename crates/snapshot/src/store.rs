@@ -12,6 +12,9 @@
 //! underlying frames are refcounted, so even a policy violation could not
 //! corrupt memory — the policy exists to keep cache accounting honest.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use seuss_mem::{MemError, PhysMemory, PAGE_SIZE};
 use seuss_paging::{AddressSpace, Mmu, Region};
 use seuss_trace::{TraceEvent, Tracer};
@@ -192,6 +195,9 @@ impl Snapshot {
 #[derive(Default)]
 pub struct SnapshotStore {
     snaps: Vec<Option<Snapshot>>,
+    /// The empty slots of `snaps`, lowest first: a capture takes the
+    /// lowest free id without scanning the store.
+    free: BinaryHeap<Reverse<u32>>,
     /// Tracing handle (disabled by default; the node installs a live one).
     pub tracer: Tracer,
 }
@@ -276,11 +282,9 @@ impl SnapshotStore {
             children: 0,
             checksum,
         };
-        for (idx, slot) in self.snaps.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(snap);
-                return Ok(SnapshotId(idx as u32));
-            }
+        if let Some(Reverse(idx)) = self.free.pop() {
+            self.snaps[idx as usize] = Some(snap);
+            return Ok(SnapshotId(idx));
         }
         self.snaps.push(Some(snap));
         Ok(SnapshotId(self.snaps.len() as u32 - 1))
@@ -334,6 +338,7 @@ impl SnapshotStore {
             return Err(SnapshotError::HasChildren(snap.children));
         }
         let snap = self.snaps[id.0 as usize].take().expect("checked live");
+        self.free.push(Reverse(id.0));
         if let Some(p) = snap.parent {
             if let Ok(parent) = self.get_mut(p) {
                 parent.children -= 1;

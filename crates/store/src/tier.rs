@@ -18,7 +18,8 @@
 //!   tail.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::ops::Bound;
 use std::rc::Rc;
 
 use seuss_mem::{MemError, PhysMemory, VirtAddr, PAGE_SHIFT};
@@ -192,7 +193,11 @@ pub struct TieredStore {
     device: Rc<RefCell<BlockDevice>>,
     read_fault: Rc<Cell<bool>>,
     demoted: HashMap<u32, DemotedMeta>,
-    last_use: HashMap<u32, u64>,
+    last_use: HashMap<SnapshotId, u64>,
+    /// The resident snapshots of `last_use`, keyed `(last_use, id)`: the
+    /// demotion order, coldest first. Demoted snapshots leave it until
+    /// they are promoted, so a walk never steps over them.
+    resident_lru: BTreeSet<(u64, SnapshotId)>,
     clock: u64,
     stats: TierStats,
 }
@@ -210,6 +215,7 @@ impl TieredStore {
             read_fault: Rc::new(Cell::new(false)),
             demoted: HashMap::new(),
             last_use: HashMap::new(),
+            resident_lru: BTreeSet::new(),
             clock: 0,
             stats: TierStats::default(),
         }
@@ -264,18 +270,42 @@ impl TieredStore {
     /// Bumps `sid`'s LRU clock (call on capture and on every deploy).
     pub fn note_use(&mut self, sid: SnapshotId) {
         self.clock += 1;
-        self.last_use.insert(sid.index(), self.clock);
+        let prev = self.last_use.insert(sid, self.clock);
+        if !self.is_demoted(sid) {
+            if let Some(t) = prev {
+                self.resident_lru.remove(&(t, sid));
+            }
+            self.resident_lru.insert((self.clock, sid));
+        }
     }
 
-    /// The least-recently-used snapshot among `candidates` (ties broken
-    /// by lowest id, so the choice is deterministic).
-    pub fn coldest(&self, candidates: impl Iterator<Item = SnapshotId>) -> Option<SnapshotId> {
-        candidates.min_by_key(|sid| {
-            (
-                self.last_use.get(&sid.index()).copied().unwrap_or(0),
-                sid.index(),
-            )
-        })
+    /// Demotes the least-recently-used resident snapshot (ties broken by
+    /// lowest id) that `eligible` admits and [`TieredStore::demote`]
+    /// accepts, walking the LRU index from its cold end: the walk stops
+    /// at the first success, so it costs the victim plus the snapshots
+    /// skipped before it. Only snapshots passed to
+    /// [`TieredStore::note_use`] are in the index. Returns the victim
+    /// and its outcome, or `None` when no snapshot qualifies.
+    pub fn demote_coldest(
+        &mut self,
+        mmu: &mut Mmu,
+        mem: &mut PhysMemory,
+        snaps: &SnapshotStore,
+        mut eligible: impl FnMut(SnapshotId) -> bool,
+    ) -> Option<(SnapshotId, DemoteOutcome)> {
+        let mut from = Bound::Unbounded;
+        loop {
+            let &(t, sid) = self
+                .resident_lru
+                .range((from, Bound::Unbounded))
+                .find(|&&(_, s)| eligible(s))?;
+            match self.demote(mmu, mem, snaps, sid) {
+                Ok(out) => return Some((sid, out)),
+                // Ineligible (e.g. live, or an empty diff) or no room:
+                // try the next-coldest.
+                Err(_) => from = Bound::Excluded((t, sid)),
+            }
+        }
     }
 
     /// Demotes `sid`'s diff pages to the device: every page not shared
@@ -303,18 +333,10 @@ impl TieredStore {
             return Err(StoreError::NotEligible("other snapshots diff against it"));
         }
         let root = snap.root();
-        let parent_map: HashMap<u64, seuss_mem::FrameId> = match snap.parent() {
-            Some(pid) => mmu
-                .collect_mapped(snaps.get(pid)?.root())
-                .into_iter()
-                .collect(),
-            None => HashMap::new(),
+        let diff = match snap.parent() {
+            Some(pid) => mmu.collect_diff(snaps.get(pid)?.root(), root),
+            None => mmu.collect_mapped(root),
         };
-        let diff: Vec<(u64, seuss_mem::FrameId)> = mmu
-            .collect_mapped(root)
-            .into_iter()
-            .filter(|&(vpn, frame)| parent_map.get(&vpn) != Some(&frame))
-            .collect();
         if diff.is_empty() {
             return Err(StoreError::NotEligible("no private pages to demote"));
         }
@@ -334,6 +356,9 @@ impl TieredStore {
         }
         let n = pages.len() as u64;
         let cost = self.device.borrow_mut().book_write(n);
+        if let Some(&t) = self.last_use.get(&sid) {
+            self.resident_lru.remove(&(t, sid));
+        }
         self.demoted.insert(
             sid.index(),
             DemotedMeta {
@@ -359,6 +384,9 @@ impl TieredStore {
             .demoted
             .remove(&sid.index())
             .ok_or(StoreError::NotDemoted)?;
+        if let Some(&t) = self.last_use.get(&sid) {
+            self.resident_lru.insert((t, sid));
+        }
         let root = snaps.get(sid)?.root();
         let n = meta.pages.len() as u64;
         for &(vpn, block) in &meta.pages {
@@ -459,7 +487,9 @@ impl TieredStore {
                 dev.free_block(block);
             }
         }
-        self.last_use.remove(&sid.index());
+        if let Some(t) = self.last_use.remove(&sid) {
+            self.resident_lru.remove(&(t, sid));
+        }
     }
 
     /// Monotone tier counters.

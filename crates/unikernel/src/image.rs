@@ -7,6 +7,8 @@
 //! copies materialize only when a descendant mutates), deploy clones the
 //! `Rc` into the new UC and replays the driver's resume writes.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use miniscript::{Interpreter, ProgId};
@@ -71,6 +73,9 @@ impl UcImagePackage {
 #[derive(Default)]
 pub struct ImageStore {
     images: Vec<Option<UcImage>>,
+    /// The empty slots of `images`, lowest first: an insert takes the
+    /// lowest free id without scanning the store.
+    free: BinaryHeap<Reverse<u32>>,
     next_uc_id: u32,
     /// Tracing handle (disabled by default; the node installs a live one).
     pub tracer: Tracer,
@@ -151,11 +156,9 @@ impl ImageStore {
     }
 
     fn insert(&mut self, image: UcImage) -> UcImageId {
-        for (i, slot) in self.images.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(image);
-                return UcImageId(i as u32);
-            }
+        if let Some(Reverse(i)) = self.free.pop() {
+            self.images[i as usize] = Some(image);
+            return UcImageId(i);
         }
         self.images.push(Some(image));
         UcImageId(self.images.len() as u32 - 1)
@@ -352,6 +355,7 @@ impl ImageStore {
         };
         snaps.delete(mmu, mem, snap)?;
         self.images[id.0 as usize] = None;
+        self.free.push(Reverse(id.0));
         Ok(())
     }
 }

@@ -59,6 +59,37 @@ fn linux_trials_are_deterministic_with_fixed_seed() {
 }
 
 #[test]
+fn linux_replay_holds_when_idle_containers_share_a_function() {
+    // Sixteen workers over 48 functions often bind two containers to one
+    // function, and a 32-container cache forces LRU evictions: which
+    // idle container a request is dispatched to decides later victims,
+    // so the choice must not follow map iteration order (which differs
+    // between two engines in one process).
+    let run = || {
+        let (reg, spec) = TrialParams {
+            invocations: 1200,
+            set_size: 48,
+            workers: 16,
+            kind: seuss::platform::FnKind::Nop,
+            seed: 7,
+        }
+        .build();
+        let cfg = ClusterConfig {
+            backend: BackendKind::Linux {
+                cache_limit: 32,
+                stemcell_target: 0,
+            },
+            ..ClusterConfig::linux_paper()
+        };
+        records_csv(&run_trial(cfg, reg, &spec).records)
+    };
+    let first = run();
+    for _ in 0..4 {
+        assert_eq!(run(), first, "records differ between identical runs");
+    }
+}
+
+#[test]
 fn burst_runs_are_deterministic() {
     let run = || {
         let mut p = BurstParams::paper(16);
