@@ -12,7 +12,7 @@
 //!    the base snapshot. (Virtual-time effects are Table 2's job; this
 //!    shows the mechanism does proportionally more real work too.)
 
-use seuss_bench::{BatchSize, BenchmarkId, Harness};
+use seuss_bench::{BenchmarkId, Harness};
 
 use seuss_core::{AoLevel, SeussConfig, SeussNode};
 use seuss_mem::{PhysMemory, VirtAddr, PAGE_SIZE};
@@ -66,7 +66,6 @@ fn ablation_deploy(h: &mut Harness) {
             },
         );
     }
-    g.finish();
 }
 
 fn ablation_capture(h: &mut Harness) {
@@ -99,7 +98,6 @@ fn ablation_capture(h: &mut Harness) {
                 std::hint::black_box(drained.len());
                 (mem, mmu, uc, r)
             },
-            BatchSize::SmallInput,
         );
     });
 
@@ -130,10 +128,8 @@ fn ablation_capture(h: &mut Harness) {
                 }
                 (mem, mmu, uc)
             },
-            BatchSize::SmallInput,
         );
     });
-    g.finish();
 }
 
 fn ablation_ao(h: &mut Harness) {
@@ -159,7 +155,6 @@ fn ablation_ao(h: &mut Harness) {
             });
         });
     }
-    g.finish();
 }
 
 fn ablation_gc(h: &mut Harness) {
@@ -233,7 +228,6 @@ fn ablation_gc(h: &mut Harness) {
             images.destroy_uc(&mut mmu, &mut mem, &mut snaps, uc);
         });
     });
-    g.finish();
 }
 
 fn main() {

@@ -6,7 +6,7 @@
 //! virtual-time costs the experiments report are separate, produced by
 //! the calibrated cost model).
 
-use seuss_bench::{BatchSize, Harness};
+use seuss_bench::Harness;
 
 use miniscript::{HostHeap, Interpreter, RuntimeProfile};
 use seuss_core::{SeussConfig, SeussNode};
@@ -51,7 +51,6 @@ fn bench_paging(h: &mut Harness) {
                 mmu.touch_write(&mut mem, &mut space, va).expect("fault");
                 (mem, mmu, space)
             },
-            BatchSize::SmallInput,
         );
     });
 
@@ -67,7 +66,6 @@ fn bench_paging(h: &mut Harness) {
                 mmu.touch_write(&mut mem, &mut space, va).expect("cow");
                 (mem, mmu, space)
             },
-            BatchSize::SmallInput,
         );
     });
 
@@ -78,7 +76,6 @@ fn bench_paging(h: &mut Harness) {
                 let r = mmu.shallow_clone(&mut mem, space.root()).expect("clone");
                 (mem, mmu, space, r)
             },
-            BatchSize::SmallInput,
         );
     });
 
@@ -91,10 +88,8 @@ fn bench_paging(h: &mut Harness) {
                     .expect("clone");
                 (mem, mmu, space, r)
             },
-            BatchSize::SmallInput,
         );
     });
-    g.finish();
 }
 
 fn bench_snapshots(h: &mut Harness) {
@@ -118,7 +113,6 @@ fn bench_snapshots(h: &mut Harness) {
                     .expect("capture");
                 (mem, mmu, space, store)
             },
-            BatchSize::SmallInput,
         );
     });
 
@@ -142,7 +136,6 @@ fn bench_snapshots(h: &mut Harness) {
             store.release_uc(snap).expect("release");
         });
     });
-    g.finish();
 }
 
 fn bench_interp(h: &mut Harness) {
@@ -168,7 +161,6 @@ fn bench_interp(h: &mut Harness) {
                 .expect("call")
         });
     });
-    g.finish();
 }
 
 fn bench_node_paths(h: &mut Harness) {
@@ -203,7 +195,6 @@ fn bench_node_paths(h: &mut Harness) {
             node.invoke(f, NOP, &[]).expect("cold")
         });
     });
-    g.finish();
 }
 
 fn main() {

@@ -241,7 +241,12 @@ mod tests {
         assert_eq!(parse(&["--workers=8"]).workers, 8);
         assert_eq!(parse(&["-j", "2"]).workers, 2);
         assert_eq!(parse(&["64", "--workers", "3"]).workers, 3);
-        assert_eq!(BenchArgs::from_args(&v(&["64"]), 5).workers, 5);
+        // Without a flag the env var decides, then the caller's default.
+        let fallback = std::env::var(seuss_exec::WORKERS_ENV)
+            .ok()
+            .and_then(|v| v.trim().parse().ok())
+            .unwrap_or(5);
+        assert_eq!(BenchArgs::from_args(&v(&["64"]), 5).workers, fallback);
         assert_eq!(parse(&["--workers", "0"]).workers, 1, "clamped to 1");
     }
 

@@ -7,7 +7,7 @@
 //! after saturation; SEUSS sustains throughput and ends up ~52× ahead on
 //! the mostly-unique workload.
 
-use seuss_core::{AoLevel, SeussConfig};
+use seuss_core::SeussConfig;
 use seuss_platform::{run_trial, BackendKind, ClusterConfig};
 use seuss_workload::TrialParams;
 
@@ -26,12 +26,13 @@ pub struct Fig4Point {
     pub seuss_errors: u64,
 }
 
-fn seuss_cluster(mem_mib: u64) -> ClusterConfig {
+/// The paper's cluster on a full-AO SEUSS node of `mem_mib` MiB — the
+/// SEUSS side of every platform figure.
+pub(crate) fn seuss_cluster(mem_mib: u64) -> ClusterConfig {
     let node = SeussConfig::builder()
         .mem_mib(mem_mib)
-        .ao_level(AoLevel::NetworkAndInterpreter)
         .build()
-        .expect("valid fig4 config");
+        .expect("valid SEUSS node config");
     ClusterConfig {
         backend: BackendKind::Seuss(Box::new(node)),
         ..ClusterConfig::seuss_paper()

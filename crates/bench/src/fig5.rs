@@ -30,8 +30,7 @@ pub fn run_fig5(
     mem_mib: u64,
     workers: usize,
 ) -> Vec<Fig5Row> {
-    use seuss_core::{AoLevel, SeussConfig};
-    use seuss_platform::{BackendKind, ClusterConfig};
+    use seuss_platform::ClusterConfig;
 
     let cells: Vec<(u64, bool)> = set_sizes
         .iter()
@@ -43,15 +42,7 @@ pub fn run_fig5(
             params.invocations = n.max(m);
         }
         let cfg = if is_seuss {
-            let node = SeussConfig::builder()
-                .mem_mib(mem_mib)
-                .ao_level(AoLevel::NetworkAndInterpreter)
-                .build()
-                .expect("valid fig5 config");
-            ClusterConfig {
-                backend: BackendKind::Seuss(Box::new(node)),
-                ..ClusterConfig::seuss_paper()
-            }
+            crate::fig4::seuss_cluster(mem_mib)
         } else {
             ClusterConfig::linux_paper()
         };

@@ -12,14 +12,14 @@
 //! | `table3` | cache density and 16-way creation rates, 4 isolation methods |
 //! | `fig4`   | platform throughput vs unique-function set size |
 //! | `fig5`   | end-to-end latency percentiles at three set sizes |
-//! | `fig6`/`fig7`/`fig8` | burst resiliency at 32 s / 16 s / 8 s periods |
+//! | `fig6 -- <period>` | burst resiliency: 32 s (Fig. 6), 16 s (Fig. 7), 8 s (Fig. 8) |
 //! | `figfault` | availability/latency under injected faults: retry vs ablation vs Linux |
 //!
 //! Micro-benchmarks of the underlying mechanisms live in `benches/`
 //! (snapshot capture/deploy, page-fault service, interpreter
 //! compile/exec, and the design-choice ablations from DESIGN.md), driven
-//! by the in-tree [`timing`] harness — criterion's API surface without
-//! its dependency tree, keeping the workspace fully offline-buildable.
+//! by the in-tree [`timing`] harness, which keeps the workspace fully
+//! offline-buildable.
 //!
 //! Every driver takes a `workers` thread count (binaries: `--workers N`
 //! or the `SEUSS_EXEC_WORKERS` env var) and fans its independent trials
@@ -52,5 +52,5 @@ pub use render::{ratio, Table};
 pub use table1::{run_table1, Table1Results};
 pub use table2::{run_table2, Table2Results};
 pub use table3::{run_table3, IsolationRow, Table3Results};
-pub use timing::{BatchSize, Bencher, BenchmarkId, Harness};
+pub use timing::{Bencher, BenchmarkId, Harness};
 pub use traced::{run_trace_smoke, TraceSmoke, TRACE_SMOKE_SHARDS};

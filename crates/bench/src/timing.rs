@@ -1,11 +1,12 @@
-//! A small in-tree wall-clock timing harness — the criterion subset the
-//! `benches/` targets use, with none of criterion's dependency tree.
+//! A small in-tree wall-clock timing harness for the `benches/` targets.
 //!
-//! The API mirrors criterion's so bench bodies read identically:
-//! [`Harness::benchmark_group`], [`Group::bench_function`],
-//! [`Bencher::iter`] / [`Bencher::iter_batched`]. Each benchmark is
-//! calibrated to a per-sample target time, measured over a fixed number
-//! of samples, and reported as `median ns/iter` with min/max spread.
+//! A [`Harness`] opens named groups ([`Harness::benchmark_group`]); each
+//! [`Group::bench_function`] hands its closure a [`Bencher`], which times
+//! a routine with [`Bencher::iter`], or with [`Bencher::iter_batched`]
+//! when every iteration needs fresh input built outside the timed span.
+//! Each benchmark is calibrated to a per-sample target time, measured
+//! over a fixed number of samples, and reported as `median ns/iter` with
+//! min/max spread; [`Harness::finish`] prints the summary table.
 //!
 //! Run via `cargo bench -p seuss-bench [-- <filter>]`; a filter substring
 //! restricts which benchmarks execute (matching on `group/name`). The
@@ -15,19 +16,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Batch-size hint, accepted for criterion API compatibility. The
-/// harness always re-runs setup per measured batch (criterion's
-/// `SmallInput` behavior), which is the only mode the benches use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Setup cost is small relative to the routine.
-    SmallInput,
-    /// Setup cost is comparable to the routine.
-    LargeInput,
-}
-
-/// A named benchmark id with an attached parameter, mirroring
-/// `criterion::BenchmarkId`.
+/// A named benchmark id with an attached parameter.
 pub struct BenchmarkId {
     name: String,
 }
@@ -140,7 +129,7 @@ pub struct Group<'h> {
 }
 
 impl Group<'_> {
-    /// Overrides the number of samples (criterion-compatible knob).
+    /// Overrides the number of samples (at least 5; default 20).
     pub fn sample_size(&mut self, n: u32) -> &mut Self {
         self.sample_size = n.max(5);
         self
@@ -170,7 +159,8 @@ impl Group<'_> {
         self
     }
 
-    /// Criterion's parameterized variant; the input is passed through.
+    /// Runs one benchmark named `id` over `input`, passed through to the
+    /// closure.
     pub fn bench_with_input<I, F>(&mut self, id: BenchmarkId, input: &I, mut f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher, &I),
@@ -178,9 +168,6 @@ impl Group<'_> {
         let input_ref = input;
         self.bench_function(id.name.clone(), move |b| f(b, input_ref))
     }
-
-    /// Ends the group (no-op; exists for criterion API parity).
-    pub fn finish(&mut self) {}
 }
 
 /// Per-benchmark measurement driver.
@@ -196,12 +183,12 @@ impl Bencher {
     where
         R: FnMut() -> O,
     {
-        self.iter_batched(|| (), |()| routine(), BatchSize::SmallInput);
+        self.iter_batched(|| (), |()| routine());
     }
 
-    /// Measures `routine` over fresh `setup` output per batch; setup time
-    /// is excluded from the measurement.
-    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    /// Measures `routine` over fresh `setup` output per iteration; setup
+    /// time is excluded from the measurement.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R)
     where
         S: FnMut() -> I,
         R: FnMut(I) -> O,
@@ -263,7 +250,6 @@ mod tests {
                 x
             })
         });
-        g.finish();
         assert_eq!(h.results.len(), 1);
         let s = h.results[0].1;
         assert!(s.median_ns > 0.0);
@@ -288,9 +274,8 @@ mod tests {
             sample_target: Duration::from_micros(20),
             results: Vec::new(),
         };
-        h.benchmark_group("g").bench_function("b", |b| {
-            b.iter_batched(|| vec![1u8; 16], |v| v.len(), BatchSize::SmallInput)
-        });
+        h.benchmark_group("g")
+            .bench_function("b", |b| b.iter_batched(|| vec![1u8; 16], |v| v.len()));
         assert_eq!(h.results.len(), 1);
     }
 

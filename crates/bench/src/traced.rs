@@ -14,8 +14,8 @@
 //! the metrics report covers the recorded segments.
 
 use seuss_core::SeussConfig;
-use seuss_exec::{run_sharded, BackendSpec, ExecConfig, ShardPlan, ShardedOutput};
-use seuss_platform::{FnKind, Registry, WorkloadSpec};
+use seuss_exec::{run_sharded, ShardPlan, ShardedOutput};
+use seuss_platform::{BackendKind, ClusterConfig, FnKind, Registry, WorkloadSpec};
 use seuss_trace::{validate_jsonl, SpanName};
 use seuss_workload::{sharded_artifacts, TrialArtifacts};
 use simcore::SimDuration;
@@ -85,11 +85,11 @@ pub fn run_trace_smoke(invocations: u64, workers: usize) -> Result<TraceSmoke, S
         .mem_mib(2048)
         .build()
         .map_err(|e| e.to_string())?;
-    let cfg = ExecConfig {
-        backend: BackendSpec::Seuss(Box::new(node)),
-        ..ExecConfig::seuss_paper()
-    }
-    .traced();
+    let cfg = ClusterConfig {
+        backend: BackendKind::Seuss(Box::new(node)),
+        traced: true,
+        ..ClusterConfig::seuss_paper()
+    };
     let (reg, spec) = smoke_workload(invocations);
 
     let run = |w: usize| -> ShardedOutput {

@@ -28,17 +28,28 @@
 //! [`simcore::stream_seed`], so shard `s` sees the same randomness no
 //! matter which thread runs it, or when.
 //!
+//! The trial is described by one [`ClusterConfig`], shared by reference
+//! with every worker thread. Each worker derives its shard's config
+//! from it (seed stream, fault view) and builds the non-`Send` parts —
+//! the `Rc`-backed tracer, the node itself — locally; only plain-data
+//! results cross back.
+//!
 //! # Example
 //!
 //! ```
-//! use seuss_exec::{run_sharded, ExecConfig, ShardPlan};
-//! use seuss_platform::{FnKind, Registry, WorkloadSpec};
+//! use seuss_core::SeussConfig;
+//! use seuss_exec::{run_sharded, ShardPlan};
+//! use seuss_platform::{BackendKind, ClusterConfig, FnKind, Registry, WorkloadSpec};
 //!
 //! let mut reg = Registry::new();
 //! reg.register_many(0, 4, FnKind::Nop);
 //! let order: Vec<u64> = (0..32).map(|i| i % 4).collect();
 //! let spec = WorkloadSpec::closed_loop(order, 4);
-//! let cfg = ExecConfig::seuss_small();
+//! let node = SeussConfig::builder().mem_mib(2048).build().unwrap();
+//! let cfg = ClusterConfig {
+//!     backend: BackendKind::Seuss(Box::new(node)),
+//!     ..ClusterConfig::seuss_paper()
+//! };
 //! let a = run_sharded(&cfg, &reg, &spec, ShardPlan::new(2, 1));
 //! let b = run_sharded(&cfg, &reg, &spec, ShardPlan::new(2, 2));
 //! assert_eq!(a.records_jsonl(), b.records_jsonl()); // workers never change bytes
@@ -51,150 +62,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use seuss_core::{AoLevel, SeussConfig};
-use seuss_faults::{FaultPlan, RetryPolicy};
-use seuss_platform::cluster::{run_trial, BackendKind, ClusterConfig};
+use seuss_platform::cluster::{run_trial, ClusterConfig};
 use seuss_platform::{
     partition_workload, records_jsonl, Registry, RequestRecord, TrialAnalysis, WorkloadSpec,
 };
-use seuss_trace::{merge_jsonl, merge_metrics, MetricsReport, TraceDump, Tracer};
-use simcore::{stream_seed, SimDuration, SimTime};
+use seuss_trace::{merge_jsonl, merge_metrics, MetricsReport, TraceDump};
+use simcore::{stream_seed, SimTime};
 
 /// Environment variable overriding the worker-thread count of every
 /// [`ShardPlan`] built with [`ShardPlan::from_env`]. Execution-speed
 /// only: artifacts are byte-identical at every value.
 pub const WORKERS_ENV: &str = "SEUSS_EXEC_WORKERS";
-
-/// Which compute backend each shard runs — the `Send` mirror of
-/// [`seuss_platform::BackendKind`] (which is consumed by value per
-/// cluster and therefore can't be shared across shard threads directly).
-#[derive(Clone, Debug)]
-pub enum BackendSpec {
-    /// SEUSS OS node (with the shim process in front).
-    Seuss(Box<SeussConfig>),
-    /// Linux node with Docker containers.
-    Linux {
-        /// OpenWhisk container cache limit (paper: 1024).
-        cache_limit: usize,
-        /// Stemcell pool target (0 disables; paper: 256 for bursts).
-        stemcell_target: usize,
-    },
-}
-
-/// Cluster configuration in `Send` form: everything a worker thread
-/// needs to build its shard's [`ClusterConfig`] locally. The non-`Send`
-/// parts of a cluster (the `Rc`-backed tracer, the node itself) are
-/// constructed *inside* the worker thread; only this description and the
-/// plain-data results cross threads.
-#[derive(Clone, Debug)]
-pub struct ExecConfig {
-    /// Compute backend each shard instantiates.
-    pub backend: BackendSpec,
-    /// Worker cores per shard node.
-    pub cores: u16,
-    /// Control-plane round-trip overhead.
-    pub control_plane_rtt: SimDuration,
-    /// Platform invocation timeout.
-    pub timeout: SimDuration,
-    /// Block time of the external HTTP endpoint.
-    pub external_block: SimDuration,
-    /// CPU occupancy of a NOP function on the Linux backend.
-    pub linux_exec_nop: SimDuration,
-    /// Trial seed; shard `s` runs on [`stream_seed`]`(seed, s)`.
-    pub seed: u64,
-    /// Whether each shard records a trace (merged after the run).
-    pub traced: bool,
-    /// Fault schedule for the trial. Global faults (crash, loss, memory
-    /// pressure, stragglers) hit every shard's node; targeted snapshot
-    /// corruption follows its function to the owning shard via
-    /// [`FaultPlan::shard_view`], so the plan a function observes is
-    /// independent of the shard count's ownership layout.
-    pub faults: FaultPlan,
-    /// Retry policy each shard's platform applies to faulted requests.
-    pub retry: RetryPolicy,
-}
-
-impl ExecConfig {
-    /// The paper's cluster with a SEUSS backend — field-for-field
-    /// [`ClusterConfig::seuss_paper`], untraced.
-    pub fn seuss_paper() -> Self {
-        ExecConfig {
-            backend: BackendSpec::Seuss(Box::new(SeussConfig::paper_node())),
-            cores: 16,
-            control_plane_rtt: SimDuration::from_millis(36),
-            timeout: SimDuration::from_secs(60),
-            external_block: SimDuration::from_millis(250),
-            linux_exec_nop: SimDuration::from_millis(1),
-            seed: 42,
-            traced: false,
-            faults: FaultPlan::none(),
-            retry: RetryPolicy::resilient(),
-        }
-    }
-
-    /// A small SEUSS node (2 GiB, full AO) — cheap enough for tests and
-    /// doctests while exercising all three paths.
-    pub fn seuss_small() -> Self {
-        let cfg = SeussConfig::builder()
-            .mem_mib(2048)
-            .ao_level(AoLevel::NetworkAndInterpreter)
-            .build()
-            .expect("static small config is valid");
-        ExecConfig {
-            backend: BackendSpec::Seuss(Box::new(cfg)),
-            ..Self::seuss_paper()
-        }
-    }
-
-    /// The paper's cluster with the Linux backend — field-for-field
-    /// [`ClusterConfig::linux_paper`], untraced.
-    pub fn linux_paper() -> Self {
-        ExecConfig {
-            backend: BackendSpec::Linux {
-                cache_limit: 1024,
-                stemcell_target: 0,
-            },
-            ..Self::seuss_paper()
-        }
-    }
-
-    /// Enables per-shard tracing (merged into one stream by the run).
-    pub fn traced(mut self) -> Self {
-        self.traced = true;
-        self
-    }
-
-    /// Builds shard `shard`'s cluster config (of `shards` total). Called
-    /// inside the worker thread that runs the shard, because the result
-    /// is not `Send`.
-    fn cluster_config(&self, shard: usize, shards: usize) -> ClusterConfig {
-        ClusterConfig {
-            backend: match &self.backend {
-                BackendSpec::Seuss(c) => BackendKind::Seuss(c.clone()),
-                BackendSpec::Linux {
-                    cache_limit,
-                    stemcell_target,
-                } => BackendKind::Linux {
-                    cache_limit: *cache_limit,
-                    stemcell_target: *stemcell_target,
-                },
-            },
-            cores: self.cores,
-            control_plane_rtt: self.control_plane_rtt,
-            timeout: self.timeout,
-            external_block: self.external_block,
-            linux_exec_nop: self.linux_exec_nop,
-            seed: stream_seed(self.seed, shard as u64),
-            tracer: if self.traced {
-                Tracer::enabled()
-            } else {
-                Tracer::disabled()
-            },
-            faults: self.faults.shard_view(shard as u64, shards as u64),
-            retry: self.retry,
-        }
-    }
-}
 
 /// How a trial is decomposed and executed: `shards` is part of the
 /// experiment (it determines the bytes), `workers` is not (it only
@@ -290,13 +168,19 @@ struct ShardResult {
 
 /// Runs one trial decomposed per `plan` and merges the shards.
 ///
+/// Shard `s` of `n` runs `cfg` with seed [`stream_seed`]`(cfg.seed, s)`
+/// and the fault schedule `cfg.faults.shard_view(s, n)`: global
+/// faults (crash, loss, memory pressure, stragglers) hit every shard's
+/// node, while a targeted snapshot corruption follows its function to
+/// the owning shard.
+///
 /// See the crate docs for the determinism contract. The merge is:
 /// records stable-sorted by exact virtual completion time (shard index
 /// breaking ties, which the stable sort provides since shards are
 /// concatenated in order); `finished_at` is the max; `events` the sum;
 /// traces and metrics merge via [`merge_jsonl`] / [`merge_metrics`].
 pub fn run_sharded(
-    cfg: &ExecConfig,
+    cfg: &ClusterConfig,
     registry: &Registry,
     spec: &WorkloadSpec,
     plan: ShardPlan,
@@ -304,7 +188,12 @@ pub fn run_sharded(
     let started = std::time::Instant::now();
     let parts = partition_workload(registry, spec, plan.shards);
     let results = ordered_parallel(parts, plan.workers, |shard, (reg, sub_spec)| {
-        let out = run_trial(cfg.cluster_config(shard, plan.shards), reg, &sub_spec);
+        let shard_cfg = ClusterConfig {
+            seed: stream_seed(cfg.seed, shard as u64),
+            faults: cfg.faults.shard_view(shard as u64, plan.shards as u64),
+            ..cfg.clone()
+        };
+        let out = run_trial(shard_cfg, reg, &sub_spec);
         ShardResult {
             records: out.records,
             finished_at: out.finished_at,
@@ -390,8 +279,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seuss_platform::FnKind;
+    use seuss_core::SeussConfig;
+    use seuss_faults::{FaultPlan, RetryPolicy};
+    use seuss_platform::{BackendKind, FnKind};
     use seuss_trace::validate_jsonl;
+    use simcore::SimDuration;
 
     fn sample() -> (Registry, WorkloadSpec) {
         let mut reg = Registry::new();
@@ -400,34 +292,31 @@ mod tests {
         (reg, WorkloadSpec::closed_loop(order, 8))
     }
 
-    fn legacy_config(traced: bool) -> ClusterConfig {
-        let cfg = ExecConfig::seuss_small();
+    /// A small SEUSS cluster (2 GiB node, full AO): cheap enough for
+    /// tests while exercising all three paths.
+    fn small(traced: bool) -> ClusterConfig {
+        let node = SeussConfig::builder()
+            .mem_mib(2048)
+            .build()
+            .expect("static small config is valid");
         ClusterConfig {
-            backend: BackendKind::Seuss(match cfg.backend {
-                BackendSpec::Seuss(c) => c,
-                _ => unreachable!(),
-            }),
-            cores: cfg.cores,
-            control_plane_rtt: cfg.control_plane_rtt,
-            timeout: cfg.timeout,
-            external_block: cfg.external_block,
-            linux_exec_nop: cfg.linux_exec_nop,
-            seed: cfg.seed,
-            tracer: if traced {
-                Tracer::enabled()
-            } else {
-                Tracer::disabled()
-            },
-            faults: cfg.faults,
-            retry: cfg.retry,
+            backend: BackendKind::Seuss(Box::new(node)),
+            traced,
+            ..ClusterConfig::seuss_paper()
         }
+    }
+
+    #[test]
+    fn cluster_config_is_shareable_across_threads() {
+        fn shareable<T: Clone + Send + Sync>() {}
+        shareable::<ClusterConfig>();
     }
 
     #[test]
     fn one_shard_reproduces_legacy_run_trial() {
         let (reg, spec) = sample();
-        let legacy = run_trial(legacy_config(true), reg.clone(), &spec);
-        let cfg = ExecConfig::seuss_small().traced();
+        let cfg = small(true);
+        let legacy = run_trial(cfg.clone(), reg.clone(), &spec);
         let sharded = run_sharded(&cfg, &reg, &spec, ShardPlan::single());
 
         assert_eq!(sharded.records_jsonl(), records_jsonl(&legacy.records));
@@ -443,7 +332,7 @@ mod tests {
     #[test]
     fn worker_count_never_changes_bytes() {
         let (reg, spec) = sample();
-        let cfg = ExecConfig::seuss_small().traced();
+        let cfg = small(true);
         let w1 = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 1));
         let w2 = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 2));
         let w4 = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 4));
@@ -461,7 +350,7 @@ mod tests {
     #[test]
     fn sharded_run_completes_the_whole_workload() {
         let (reg, spec) = sample();
-        let cfg = ExecConfig::seuss_small();
+        let cfg = small(false);
         let out = run_sharded(&cfg, &reg, &spec, ShardPlan::wide(4));
         assert_eq!(out.analysis.completed, 64);
         assert_eq!(out.analysis.errors, 0);
@@ -475,7 +364,7 @@ mod tests {
     #[test]
     fn records_merge_is_completion_ordered() {
         let (reg, spec) = sample();
-        let cfg = ExecConfig::seuss_small();
+        let cfg = small(false);
         let out = run_sharded(&cfg, &reg, &spec, ShardPlan::wide(4));
         assert!(out.records.windows(2).all(|w| w[0].done_ns <= w[1].done_ns));
     }
@@ -499,7 +388,7 @@ mod tests {
     fn faulted_trials_are_byte_identical_at_every_worker_count() {
         use seuss_faults::{FaultEvent, FaultKind};
         let (reg, spec) = sample();
-        let mut cfg = ExecConfig::seuss_small().traced();
+        let mut cfg = small(true);
         cfg.faults = FaultPlan::from_events(vec![
             FaultEvent {
                 at: SimTime::from_millis(150),
@@ -537,8 +426,8 @@ mod tests {
     #[test]
     fn empty_fault_plan_reproduces_pre_fault_bytes() {
         let (reg, spec) = sample();
-        let with_default = ExecConfig::seuss_small().traced();
-        let mut no_retry = ExecConfig::seuss_small().traced();
+        let with_default = small(true);
+        let mut no_retry = small(true);
         no_retry.retry = RetryPolicy::none();
         let a = run_sharded(&with_default, &reg, &spec, ShardPlan::new(2, 2));
         let b = run_sharded(&no_retry, &reg, &spec, ShardPlan::new(2, 2));

@@ -30,6 +30,7 @@ use crate::record::{record, RequestRecord, RequestStatus, ServedBy, TrialAnalysi
 use crate::spec::{FnId, FnKind, Registry, WorkloadSpec};
 
 /// Which compute backend the cluster runs.
+#[derive(Clone, Debug)]
 pub enum BackendKind {
     /// SEUSS OS node (with the shim process in front).
     Seuss(Box<SeussConfig>),
@@ -42,7 +43,9 @@ pub enum BackendKind {
     },
 }
 
-/// Cluster-level configuration.
+/// Cluster-level configuration. Plain data (`Clone + Send + Sync`), so
+/// one config can be shared by the worker threads of a sharded trial.
+#[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Compute backend.
     pub backend: BackendKind,
@@ -58,10 +61,11 @@ pub struct ClusterConfig {
     pub linux_exec_nop: SimDuration,
     /// RNG seed (bridge drops).
     pub seed: u64,
-    /// Tracing handle; [`Tracer::disabled`] (the default) records nothing.
-    /// Pass [`Tracer::enabled`] to capture spans, events, and metrics for
-    /// the whole trial.
-    pub tracer: Tracer,
+    /// Whether the trial records a trace. `false` (the default) builds a
+    /// [`Tracer::disabled`] that records nothing; `true` builds a
+    /// [`Tracer::enabled`] capturing spans, events, and metrics for the
+    /// whole trial.
+    pub traced: bool,
     /// Fault schedule injected into the trial. [`FaultPlan::none`] (the
     /// default) draws nothing from the fault RNG streams, so fault-free
     /// trials stay byte-identical to pre-fault builds.
@@ -83,7 +87,7 @@ impl ClusterConfig {
             external_block: SimDuration::from_millis(250),
             linux_exec_nop: SimDuration::from_millis(1),
             seed: 42,
-            tracer: Tracer::disabled(),
+            traced: false,
             faults: FaultPlan::none(),
             retry: RetryPolicy::resilient(),
         }
@@ -230,7 +234,11 @@ pub struct Cluster {
 impl Cluster {
     /// Builds a cluster from config, registry and workload.
     pub fn new(config: ClusterConfig, registry: Registry, spec: &WorkloadSpec) -> Cluster {
-        let tracer = config.tracer.clone();
+        let tracer = if config.traced {
+            Tracer::enabled()
+        } else {
+            Tracer::disabled()
+        };
         let backend = match config.backend {
             BackendKind::Seuss(cfg) => {
                 let (mut node, _init) = SeussNode::new(*cfg).expect("node init");
@@ -1015,7 +1023,7 @@ pub struct TrialOutput {
     /// Events processed.
     pub events: u64,
     /// The trial's tracer — export spans/metrics from here. Disabled
-    /// (empty) unless the [`ClusterConfig`] carried an enabled one.
+    /// (empty) unless the [`ClusterConfig`] set `traced`.
     pub tracer: Tracer,
 }
 
@@ -1325,7 +1333,7 @@ mod tests {
         let mut resilient = small_seuss();
         resilient.faults = plan.clone();
         resilient.retry = RetryPolicy::resilient();
-        resilient.tracer = Tracer::enabled();
+        resilient.traced = true;
         let out = run_trial(resilient, reg, &spec);
         assert_eq!(out.analysis.errors, 0, "retry + reboot recovers everyone");
         assert_eq!(out.analysis.completed, 24);
@@ -1363,7 +1371,7 @@ mod tests {
                 span: SimDuration::from_secs(30),
             },
         }]);
-        cfg.tracer = Tracer::enabled();
+        cfg.traced = true;
         let out = run_trial(cfg, reg, &spec);
         assert_eq!(out.analysis.completed + out.analysis.errors, 30);
         assert!(
@@ -1434,7 +1442,7 @@ mod tests {
                 span: SimDuration::from_secs(2),
             },
         }]);
-        cfg.tracer = Tracer::enabled();
+        cfg.traced = true;
         let out = run_trial(cfg, reg, &spec);
         assert_eq!(out.analysis.completed, 48, "{:?}", out.analysis);
         let pressured = out
@@ -1466,7 +1474,7 @@ mod tests {
             at: SimTime::from_millis(400),
             kind: FaultKind::SnapshotCorruption { fn_id: 0 },
         }]);
-        cfg.tracer = Tracer::enabled();
+        cfg.traced = true;
         let out = run_trial(cfg, reg, &spec);
         assert_eq!(out.analysis.completed, 16);
         assert_eq!(out.analysis.errors, 0);
@@ -1493,7 +1501,7 @@ mod tests {
                 reboot: SimDuration::from_millis(500),
             },
         }]);
-        cfg.tracer = Tracer::enabled();
+        cfg.traced = true;
         let out = run_trial(cfg, reg, &spec);
         assert_eq!(out.analysis.completed + out.analysis.errors, 24);
         assert!(

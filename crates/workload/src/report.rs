@@ -1,7 +1,7 @@
 //! Result rendering: tables, CSV dumps, figure series, and the bundled
 //! per-trial artifact set (records + optional trace output).
 
-use seuss_platform::{RequestRecord, RequestStatus, TrialOutput};
+use seuss_platform::{records_jsonl, RequestRecord, RequestStatus, TrialOutput};
 use simcore::SimDuration;
 
 /// Formats a duration as fixed-precision milliseconds.
@@ -22,29 +22,15 @@ pub fn records_csv(records: &[RequestRecord]) -> String {
     out
 }
 
-/// Dumps request records as JSON Lines — one flat object per request,
-/// the same fields as [`records_csv`].
-pub fn records_jsonl(records: &[RequestRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&format!(
-            "{{\"sent_s\":{:.3},\"latency_ms\":{:.3},\"fn\":{},\"status\":\"{:?}\",\"served_by\":\"{:?}\",\"burst\":{}}}\n",
-            r.sent_at_s, r.latency_ms, r.fn_id, r.status, r.served_by, r.burst
-        ));
-    }
-    out
-}
-
 /// Everything one trial produces, rendered and ready to write to disk.
 ///
-/// The trace members are `Some` only when the cluster ran with an
-/// enabled [`seuss_trace::Tracer`]; a default (disabled) tracer costs
-/// nothing and yields `None` here.
+/// The trace members are `Some` only when the cluster config set
+/// `traced`; an untraced trial costs nothing and yields `None` here.
 #[derive(Clone, Debug)]
 pub struct TrialArtifacts {
     /// Request records as CSV ([`records_csv`]).
     pub records_csv: String,
-    /// Request records as JSON Lines ([`records_jsonl`]).
+    /// Request records as JSON Lines ([`seuss_platform::records_jsonl`]).
     pub records_jsonl: String,
     /// Structured trace of the trial as span/event JSONL.
     pub trace_jsonl: Option<String>,
@@ -243,14 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_mirrors_csv() {
-        let jsonl = records_jsonl(&[rec(false, true, 0.5), rec(true, false, 1.0)]);
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.starts_with("{\"sent_s\":0.500,"));
-        assert!(jsonl.contains("\"status\":\"Error\""));
-    }
-
-    #[test]
     fn artifacts_bundle_trace_when_enabled() {
         use seuss_platform::{
             run_trial, BackendKind, ClusterConfig, FnKind, Registry, WorkloadSpec,
@@ -264,7 +242,7 @@ mod tests {
         let spec = WorkloadSpec::closed_loop(vec![0, 1, 0, 1], 2);
         let cfg = ClusterConfig {
             backend: BackendKind::Seuss(Box::new(node)),
-            tracer: seuss_trace::Tracer::enabled(),
+            traced: true,
             ..ClusterConfig::seuss_paper()
         };
         let out = run_trial(cfg, reg, &spec);
@@ -275,7 +253,7 @@ mod tests {
         assert!(v.enters > 0 && v.enters == v.exits);
         assert!(a.metrics_json.expect("metrics").starts_with('{'));
 
-        // A disabled tracer produces records but no trace members.
+        // An untraced trial produces records but no trace members.
         let node = seuss_core::SeussConfig::builder()
             .mem_mib(2048)
             .build()

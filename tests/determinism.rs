@@ -3,7 +3,7 @@
 //! in EXPERIMENTS.md reproducible.
 
 use seuss::core::SeussConfig;
-use seuss::exec::{run_sharded, BackendSpec, ExecConfig, ShardPlan};
+use seuss::exec::{run_sharded, ShardPlan};
 use seuss::platform::{run_trial, BackendKind, ClusterConfig};
 use seuss::workload::{records_csv, sharded_artifacts, BurstParams, TrialParams};
 
@@ -151,11 +151,11 @@ fn sharded_executor_is_byte_identical_across_worker_counts() {
         .mem_mib(2048)
         .build()
         .expect("valid config");
-    let cfg = ExecConfig {
-        backend: BackendSpec::Seuss(Box::new(node)),
-        ..ExecConfig::seuss_paper()
-    }
-    .traced();
+    let cfg = ClusterConfig {
+        backend: BackendKind::Seuss(Box::new(node)),
+        traced: true,
+        ..ClusterConfig::seuss_paper()
+    };
     let run = |workers: usize| {
         let out = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, workers));
         (sharded_artifacts(&out), out.finished_at, out.events)
@@ -199,14 +199,7 @@ fn one_shard_reproduces_the_legacy_single_threaded_trial() {
     .build();
     let legacy = run_trial(seuss_cfg(), reg.clone(), &spec);
 
-    let node = SeussConfig::builder()
-        .mem_mib(2048)
-        .build()
-        .expect("valid config");
-    let cfg = ExecConfig {
-        backend: BackendSpec::Seuss(Box::new(node)),
-        ..ExecConfig::seuss_paper()
-    };
+    let cfg = seuss_cfg();
     for workers in [1usize, 4] {
         let sharded = run_sharded(&cfg, &reg, &spec, ShardPlan::new(1, workers));
         assert_eq!(

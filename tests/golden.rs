@@ -8,7 +8,7 @@
 //! says why.
 
 use seuss::core::SeussConfig;
-use seuss::exec::{run_sharded, BackendSpec, ExecConfig, ShardPlan, ShardedOutput};
+use seuss::exec::{run_sharded, ShardPlan, ShardedOutput};
 use seuss::faults::{FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 use seuss::platform::{
     records_jsonl, run_trial, BackendKind, ClusterConfig, FnKind, Registry, ServedBy, TrialOutput,
@@ -16,7 +16,6 @@ use seuss::platform::{
 };
 use seuss::sim::{SimDuration, SimTime};
 use seuss::store::StoreConfig;
-use seuss::trace::Tracer;
 use seuss::workload::TrialParams;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/golden.txt");
@@ -77,7 +76,7 @@ fn seuss_traced_trial() -> u64 {
     let spec = WorkloadSpec::closed_loop(order, 4);
     let cfg = ClusterConfig {
         backend: BackendKind::Seuss(Box::new(small_node())),
-        tracer: Tracer::enabled(),
+        traced: true,
         ..ClusterConfig::seuss_paper()
     };
     trial_digest(&run_trial(cfg, reg, &spec))
@@ -141,12 +140,12 @@ fn faulted_sharded_trial() -> u64 {
         .idle_total(2)
         .build()
         .expect("valid config");
-    let cfg = ExecConfig {
-        backend: BackendSpec::Seuss(Box::new(node)),
+    let cfg = ClusterConfig {
+        backend: BackendKind::Seuss(Box::new(node)),
         traced: true,
         faults,
         retry: RetryPolicy::resilient(),
-        ..ExecConfig::seuss_paper()
+        ..ClusterConfig::seuss_paper()
     };
     let out = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 2).from_env());
     let trace = out.trace_jsonl();
@@ -176,10 +175,10 @@ fn tiered_sharded_trial() -> u64 {
         seed: 77,
     }
     .build();
-    let cfg = ExecConfig {
-        backend: BackendSpec::Seuss(Box::new(node)),
+    let cfg = ClusterConfig {
+        backend: BackendKind::Seuss(Box::new(node)),
         traced: true,
-        ..ExecConfig::seuss_paper()
+        ..ClusterConfig::seuss_paper()
     };
     let out = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 2).from_env());
     assert!(

@@ -11,7 +11,7 @@
 //!   and 4 worker threads.
 
 use seuss::core::{Invocation, PathKind, SeussConfig, SeussNode};
-use seuss::exec::{run_sharded, BackendSpec, ExecConfig, ShardPlan};
+use seuss::exec::{run_sharded, ShardPlan};
 use seuss::platform::{run_trial, BackendKind, ClusterConfig, FnKind};
 use seuss::store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig};
 use seuss::workload::{sharded_artifacts, TrialParams};
@@ -222,10 +222,10 @@ fn pressured_sharded_trial_is_byte_identical_at_1_2_and_4_workers() {
         .store(Some(StoreConfig::nvme_prefetch()))
         .build()
         .expect("valid pressured config");
-    let cfg = ExecConfig {
-        backend: BackendSpec::Seuss(Box::new(node)),
+    let cfg = ClusterConfig {
+        backend: BackendKind::Seuss(Box::new(node)),
         traced: true,
-        ..ExecConfig::seuss_paper()
+        ..ClusterConfig::seuss_paper()
     };
     let (reg, spec) = TrialParams {
         invocations: 160,

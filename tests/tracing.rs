@@ -7,7 +7,7 @@
 use seuss::core::SeussConfig;
 use seuss::platform::{run_trial, BackendKind, ClusterConfig, FnKind, Registry, WorkloadSpec};
 use seuss::sim::SimDuration;
-use seuss::trace::{validate_jsonl, SpanName, Tracer};
+use seuss::trace::{validate_jsonl, SpanName};
 use seuss::workload::trial_artifacts;
 
 fn traced_trial() -> seuss::platform::TrialOutput {
@@ -23,7 +23,7 @@ fn traced_trial() -> seuss::platform::TrialOutput {
     let spec = WorkloadSpec::closed_loop(order, 4);
     let cfg = ClusterConfig {
         backend: BackendKind::Seuss(Box::new(node)),
-        tracer: Tracer::enabled(),
+        traced: true,
         ..ClusterConfig::seuss_paper()
     };
     run_trial(cfg, reg, &spec)
