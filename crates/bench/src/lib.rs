@@ -14,6 +14,7 @@
 //! | `fig5`   | end-to-end latency percentiles at three set sizes |
 //! | `fig6 -- <period>` | burst resiliency: 32 s (Fig. 6), 16 s (Fig. 7), 8 s (Fig. 8) |
 //! | `figfault` | availability/latency under injected faults: retry vs ablation vs Linux |
+//! | `dr_seuss` | §9 DR-SEUSS: remote-warm snapshot migration vs local cold vs full-image ship |
 //!
 //! Micro-benchmarks of the underlying mechanisms live in `benches/`
 //! (snapshot capture/deploy, page-fault service, interpreter
@@ -30,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod cli;
+pub mod dr_seuss;
 pub mod fig4;
 pub mod fig5;
 pub mod figburst;
@@ -43,6 +45,7 @@ pub mod timing;
 pub mod traced;
 
 pub use cli::{fault_plan_arg, positionals, workers_arg, BenchArgs, StoreArgs};
+pub use dr_seuss::{run_dr_seuss, DrSeussReport};
 pub use fig4::{run_fig4, Fig4Point};
 pub use fig5::{run_fig5, Fig5Row};
 pub use figburst::{run_burst, run_burst_with_faults, BurstOutcome};

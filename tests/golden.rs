@@ -1,8 +1,10 @@
 //! Behaviour lock: FNV-1a digests of the artifacts the trial runners
-//! produce, compared with the committed `results/golden.txt`.
+//! and experiment drivers produce, compared with the committed
+//! `results/golden.txt`.
 //!
-//! Each case renders its records as JSONL (plus the trace JSONL and the
-//! metrics JSON when traced) and hashes the bytes. A refactor that
+//! Each trial case renders its records as JSONL (plus the trace JSONL
+//! and the metrics JSON when traced) and hashes the bytes; a driver case
+//! hashes its rendered report. A refactor that
 //! claims to keep behaviour must leave every digest unchanged; a change
 //! that moves behaviour on purpose rewrites `results/golden.txt` and
 //! says why.
@@ -17,6 +19,7 @@ use seuss::platform::{
 use seuss::sim::{SimDuration, SimTime};
 use seuss::store::StoreConfig;
 use seuss::workload::TrialParams;
+use seuss_bench::run_dr_seuss;
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/golden.txt");
 
@@ -188,14 +191,39 @@ fn tiered_sharded_trial() -> u64 {
     sharded_digest(&out)
 }
 
+/// DR-SEUSS's viral load at 3 nodes × 24 functions, with §9's claims
+/// asserted on the measured report.
+fn dr_seuss_report() -> u64 {
+    let r = run_dr_seuss(3, 24);
+    assert!(
+        r.mean_remote_warm_ms() < r.mean_cold_ms(),
+        "remote warm {} ms must beat local cold {} ms",
+        r.mean_remote_warm_ms(),
+        r.mean_cold_ms()
+    );
+    let diff_mib = r.mean_diff_mib();
+    assert!(
+        (0.5..4.0).contains(&diff_mib),
+        "a migration ships the ~2 MiB function diff, not the runtime: {diff_mib} MiB"
+    );
+    assert!(
+        r.full_ship_ms > 10.0 * r.mean_remote_warm_ms(),
+        "shipping the full image ({} ms) must dwarf a remote warm start ({} ms)",
+        r.full_ship_ms,
+        r.mean_remote_warm_ms()
+    );
+    fnv1a(&[&r.render()])
+}
+
 #[test]
 fn trial_artifacts_match_the_golden_digests() {
     type Case = (&'static str, fn() -> u64);
-    let cases: [Case; 4] = [
+    let cases: [Case; 5] = [
         ("seuss_traced_trial", seuss_traced_trial),
         ("linux_past_cache_trial", linux_past_cache_trial),
         ("faulted_sharded_trial", faulted_sharded_trial),
         ("tiered_sharded_trial", tiered_sharded_trial),
+        ("dr_seuss", dr_seuss_report),
     ];
     let actual: String = cases
         .iter()
