@@ -15,7 +15,9 @@ use seuss_paging::Mmu;
 use seuss_snapshot::{SnapshotId, SnapshotKind, SnapshotStore};
 use seuss_store::{ReclaimMode, RestorePolicy, StoreError, TieredStore};
 use seuss_trace::{CacheKind, Phase, SpanName, TraceEvent, Tracer};
-use seuss_unikernel::{ImageStore, InvocationOutcome, RuntimeKind, UcContext, UcError, UcImageId};
+use seuss_unikernel::{
+    ImageStore, InvocationOutcome, RuntimeKind, UcContext, UcError, UcImageId, UcImagePackage,
+};
 use simcore::SimDuration;
 
 use crate::caches::{FnImageCache, IdleUcCache};
@@ -574,25 +576,70 @@ impl SeussNode {
                 .map_err(map_uc_err)?;
             costs.capture = capture_cost;
             self.tracer.advance(costs.capture);
-            let displaced = self.fn_cache.insert(
-                &mut self.mmu,
-                &mut self.mem,
-                &mut self.snaps,
-                &mut self.images,
-                f,
-                fn_img,
-            );
-            for sid in displaced {
-                self.forget_tier(sid);
-            }
-            if let Some(tier) = self.tier.as_mut() {
-                if let Ok(sid) = self.images.snapshot_of(fn_img) {
-                    tier.note_use(sid);
-                }
-            }
+            self.cache_fn_image(f, fn_img);
         }
         let exec = self.run_segment_fresh(&mut uc, args, &mut costs)?;
         self.conclude(f, PathKind::Cold, uc, exec, costs, ops_before)
+    }
+
+    /// Puts `f`'s new image in the function-snapshot cache, dropping the
+    /// tier state of every image the insert deleted.
+    fn cache_fn_image(&mut self, f: FnId, img: UcImageId) {
+        let displaced = self.fn_cache.insert(
+            &mut self.mmu,
+            &mut self.mem,
+            &mut self.snaps,
+            &mut self.images,
+            f,
+            img,
+        );
+        for sid in displaced {
+            self.forget_tier(sid);
+        }
+        if let Some(tier) = self.tier.as_mut() {
+            if let Ok(sid) = self.images.snapshot_of(img) {
+                tier.note_use(sid);
+            }
+        }
+    }
+
+    /// Exports `f`'s cached function snapshot for migration to a peer
+    /// (§9, DR-SEUSS): only the diff against the primary runtime image
+    /// ships, because every node boots that image itself. The export
+    /// counts as a use of the cache entry.
+    pub fn export_fn_snapshot(&mut self, f: FnId) -> Result<UcImagePackage, NodeError> {
+        let base = self.runtime_image().ok_or(NodeError::NotInitialized)?;
+        let img = self
+            .fn_cache
+            .lookup(f)
+            .ok_or_else(|| NodeError::Function(format!("fn {f} is not cached on this node")))?;
+        self.images
+            .export(&self.mmu, &self.mem, &self.snaps, img, Some(base))
+            .map_err(map_uc_err)
+    }
+
+    /// Installs a package from a peer's [`SeussNode::export_fn_snapshot`]
+    /// on top of this node's runtime image and caches it as `f`'s
+    /// function snapshot, so `f`'s next invocation here starts warm
+    /// without importing or compiling anything.
+    pub fn install_fn_snapshot(
+        &mut self,
+        f: FnId,
+        package: &UcImagePackage,
+    ) -> Result<(), NodeError> {
+        let base = self.runtime_image().ok_or(NodeError::NotInitialized)?;
+        let img = self
+            .images
+            .import(
+                &mut self.mmu,
+                &mut self.mem,
+                &mut self.snaps,
+                package,
+                Some(base),
+            )
+            .map_err(map_uc_err)?;
+        self.cache_fn_image(f, img);
+        Ok(())
     }
 
     /// Runs the connect phase under its span, advancing the trace clock
@@ -1134,6 +1181,43 @@ mod tests {
             net > full,
             "interpreter AO must cut further ({net:?} vs {full:?})"
         );
+    }
+
+    #[test]
+    fn migrated_function_runs_correctly() {
+        let (mut home, mut peer) = (node(), node());
+        let src = "let greeting = 'state-' + (40 + 2); function main(args) { return greeting; }";
+        let (p, r, _) = expect_completed(home.invoke(9, src, &[]).unwrap());
+        assert_eq!((p, r.as_str()), (PathKind::Cold, "state-42"));
+
+        let package = home.export_fn_snapshot(9).unwrap();
+        let runtime = home.runtime_image().unwrap();
+        let full = home
+            .images
+            .export(&home.mmu, &home.mem, &home.snaps, runtime, None)
+            .unwrap();
+        assert!(
+            package.wire_bytes() * 10 < full.wire_bytes(),
+            "a diff ships, not the runtime"
+        );
+        peer.install_fn_snapshot(9, &package).unwrap();
+        assert_eq!(peer.fn_cache.len(), 1);
+
+        // The migrated snapshot carries the compiled program AND its
+        // module state (the top-level `greeting` global lives in shipped
+        // heap pages + the interpreter mirror).
+        let (p, r, _) = expect_completed(peer.invoke(9, src, &[]).unwrap());
+        assert_eq!((p, r.as_str()), (PathKind::Warm, "state-42"));
+        assert_eq!(peer.stats.cold, 0);
+    }
+
+    #[test]
+    fn exporting_an_uncached_function_is_an_error() {
+        let mut n = node();
+        assert!(matches!(
+            n.export_fn_snapshot(1),
+            Err(NodeError::Function(_))
+        ));
     }
 }
 
