@@ -88,8 +88,6 @@ pub enum TraceEvent {
     FaultSnapshotCorrupt,
     /// The platform retried a faulted request (backoff scheduled).
     FaultRetry,
-    /// DR-SEUSS rerouted an invocation away from an unhealthy node.
-    FaultFailover,
     /// The platform shed a request to a degraded path instead of erroring.
     FaultShed,
     /// The MMU faulted a swapped-out page back in from the block device.
@@ -117,7 +115,7 @@ pub enum TraceEvent {
 /// appended after the original 19, and storage-tier kinds after those,
 /// so fault-free / tier-free metrics output stays byte-identical (the
 /// report emits only non-zero counters).
-pub(crate) const EVENT_KINDS: usize = 33;
+pub(crate) const EVENT_KINDS: usize = 32;
 
 impl TraceEvent {
     /// Lowercase kind name used in trace output and metrics.
@@ -153,7 +151,6 @@ impl TraceEvent {
             TraceEvent::FaultStraggler => "fault:straggler",
             TraceEvent::FaultSnapshotCorrupt => "fault:snapshot_corrupt",
             TraceEvent::FaultRetry => "fault:retry",
-            TraceEvent::FaultFailover => "fault:failover",
             TraceEvent::FaultShed => "fault:shed",
             TraceEvent::TierPageIn => "tier:page_in",
             TraceEvent::TierDemote { .. } => "tier:demote",
@@ -186,13 +183,12 @@ impl TraceEvent {
             TraceEvent::FaultStraggler => 23,
             TraceEvent::FaultSnapshotCorrupt => 24,
             TraceEvent::FaultRetry => 25,
-            TraceEvent::FaultFailover => 26,
-            TraceEvent::FaultShed => 27,
-            TraceEvent::TierPageIn => 28,
-            TraceEvent::TierDemote { .. } => 29,
-            TraceEvent::TierPromote { .. } => 30,
-            TraceEvent::TierPrefetch { .. } => 31,
-            TraceEvent::TierReadError => 32,
+            TraceEvent::FaultShed => 26,
+            TraceEvent::TierPageIn => 27,
+            TraceEvent::TierDemote { .. } => 28,
+            TraceEvent::TierPromote { .. } => 29,
+            TraceEvent::TierPrefetch { .. } => 30,
+            TraceEvent::TierReadError => 31,
         }
     }
 

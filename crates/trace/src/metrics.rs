@@ -34,7 +34,6 @@ const KIND_NAMES: [&str; EVENT_KINDS] = [
     "fault:straggler",
     "fault:snapshot_corrupt",
     "fault:retry",
-    "fault:failover",
     "fault:shed",
     "tier:page_in",
     "tier:demote",
@@ -378,7 +377,6 @@ mod tests {
             TraceEvent::FaultStraggler,
             TraceEvent::FaultSnapshotCorrupt,
             TraceEvent::FaultRetry,
-            TraceEvent::FaultFailover,
             TraceEvent::FaultShed,
             TraceEvent::TierPageIn,
             TraceEvent::TierDemote { pages: 1 },
