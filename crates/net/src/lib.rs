@@ -35,4 +35,4 @@ pub use bridge::{Bridge, BridgeError};
 pub use external::ExternalServer;
 pub use packet::{Packet, PacketKind, Payload};
 pub use proxy::{NetProxy, ProxyError, UcEndpoint};
-pub use tcp::{TcpConn, TcpCostModel, TcpState};
+pub use tcp::TcpCostModel;

@@ -1,78 +1,11 @@
-//! A simplified TCP connection model: state machine plus latency math.
+//! TCP latency arithmetic.
 //!
-//! The simulation does not retransmit or window; what the experiments need
-//! is (a) a correct open/established/closed lifecycle keyed by ports so
-//! the proxy can route, and (b) latency accounting: a connection costs a
-//! handshake (1.5 RTT before data can flow) and each message costs
-//! per-byte serialization plus propagation.
+//! The simulation does not model connection state, retransmission or
+//! windows; what the experiments need is latency accounting: a
+//! connection costs a handshake (1.5 RTT before data can flow) and each
+//! message costs per-byte serialization plus propagation.
 
 use simcore::SimDuration;
-
-/// Connection lifecycle states.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TcpState {
-    /// SYN sent, awaiting SYN+ACK.
-    SynSent,
-    /// Handshake complete; data may flow.
-    Established,
-    /// Closed (FIN or reset).
-    Closed,
-}
-
-/// One TCP connection's bookkeeping.
-#[derive(Clone, Debug)]
-pub struct TcpConn {
-    /// Local (initiator) port.
-    pub src_port: u16,
-    /// Remote port.
-    pub dst_port: u16,
-    /// Current state.
-    pub state: TcpState,
-    /// Payload bytes sent.
-    pub bytes_tx: u64,
-    /// Payload bytes received.
-    pub bytes_rx: u64,
-}
-
-impl TcpConn {
-    /// Opens a connection (enters `SynSent`).
-    pub fn open(src_port: u16, dst_port: u16) -> Self {
-        TcpConn {
-            src_port,
-            dst_port,
-            state: TcpState::SynSent,
-            bytes_tx: 0,
-            bytes_rx: 0,
-        }
-    }
-
-    /// Completes the handshake.
-    pub fn establish(&mut self) {
-        debug_assert_eq!(self.state, TcpState::SynSent);
-        self.state = TcpState::Established;
-    }
-
-    /// Records a sent payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the connection is not established.
-    pub fn send(&mut self, bytes: u64) {
-        debug_assert_eq!(self.state, TcpState::Established, "send before establish");
-        self.bytes_tx += bytes;
-    }
-
-    /// Records a received payload.
-    pub fn recv(&mut self, bytes: u64) {
-        debug_assert_eq!(self.state, TcpState::Established, "recv before establish");
-        self.bytes_rx += bytes;
-    }
-
-    /// Closes the connection.
-    pub fn close(&mut self) {
-        self.state = TcpState::Closed;
-    }
-}
 
 /// Latency arithmetic for a link.
 #[derive(Clone, Copy, Debug)]
@@ -126,18 +59,6 @@ impl TcpCostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lifecycle() {
-        let mut c = TcpConn::open(40000, 8080);
-        assert_eq!(c.state, TcpState::SynSent);
-        c.establish();
-        c.send(100);
-        c.recv(50);
-        assert_eq!((c.bytes_tx, c.bytes_rx), (100, 50));
-        c.close();
-        assert_eq!(c.state, TcpState::Closed);
-    }
 
     #[test]
     fn handshake_is_1_5_rtt_plus_overheads() {

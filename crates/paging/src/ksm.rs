@@ -8,14 +8,16 @@
 //! frames by content digest, and merge identical frames into one
 //! copy-on-write page.
 //!
-//! Two costs distinguish it from snapshot sharing, both visible in the
-//! ablation bench:
+//! Two costs distinguish it from snapshot sharing, each checked by a
+//! unit test below:
 //!
 //! * the scanner must *touch every mapped page* on every pass (hashing
 //!   work proportional to the resident set, repeated forever), while
-//!   snapshot sharing never scans anything — pages are born shared;
+//!   snapshot sharing never scans anything — pages are born shared
+//!   (`scan_cost_is_proportional_to_resident_set`);
 //! * merging is observable: a deduplicated write suddenly costs a COW
-//!   break, which is the timing side channel §5 cites.
+//!   break, which is the timing side channel §5 cites
+//!   (`writes_after_merge_cow_break`).
 
 use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{HashMap, HashSet};
