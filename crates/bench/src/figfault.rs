@@ -5,7 +5,7 @@
 //! [`FaultPlan`] — SEUSS with the resilient retry policy, SEUSS with
 //! retries disabled (the ablation), and the Linux baseline — and the
 //! per-second availability series shows the paper's resilience story:
-//! with retry/backoff/failover the platform absorbs node crashes and
+//! with retry and backoff the platform absorbs node crashes and
 //! packet loss (availability dips during the outage, then returns to
 //! 100%), while the no-retry ablation surfaces every faulted request as
 //! an error.
