@@ -29,8 +29,8 @@ fn main() {
     if let Some(v) = pos.get(2) {
         p.mem_mib = v.parse().expect("mem_mib: a MiB count");
     }
-    if let Some(s) = &args.store {
-        p.device_blocks = s.capacity_blocks;
+    if let Some(blocks) = args.store_blocks {
+        p.device_blocks = blocks;
     }
     let workers = args.workers;
 

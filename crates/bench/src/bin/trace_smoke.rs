@@ -1,27 +1,21 @@
-//! Observability + determinism smoke: runs a traced sharded trial
-//! offline at a fixed shard count on 1 and on N worker threads,
-//! validates the merged trace, fails on any byte divergence between the
-//! two runs, and writes the artifacts next to the other experiment
+//! Observability smoke: runs one traced trial offline, validates its
+//! trace, and writes the artifacts next to the other experiment
 //! results. Exits nonzero if any invariant fails.
 //!
 //! ```sh
-//! cargo run --release -p seuss-bench --bin trace_smoke [invocations] [--workers N]
+//! cargo run --release -p seuss-bench --bin trace_smoke [invocations]
 //! ```
 
-use seuss_bench::{positionals, run_trace_smoke, workers_arg, TRACE_SMOKE_SHARDS};
+use seuss_bench::{positionals, run_trace_smoke};
 
 fn main() {
     let invocations: u64 = positionals()
         .first()
         .and_then(|s| s.parse().ok())
         .unwrap_or(40);
-    let workers = workers_arg(4);
-    eprintln!(
-        "running traced trial ({invocations} invocations, {TRACE_SMOKE_SHARDS} shards, \
-         workers 1 vs {workers})…"
-    );
+    eprintln!("running traced trial ({invocations} invocations)…");
 
-    let smoke = match run_trace_smoke(invocations, workers) {
+    let smoke = match run_trace_smoke(invocations) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("trace smoke FAILED: {e}");
@@ -43,14 +37,7 @@ fn main() {
 
     println!(
         "trace smoke OK: {} requests, {} trace lines, {} segments\n  \
-         byte-identical at workers=1 and workers={}; wall {:.3} s -> {:.3} s ({:.2}x speedup)\n  \
          {trace_path}\n  {metrics_path}",
-        smoke.completed,
-        smoke.trace_lines,
-        smoke.segments,
-        smoke.workers,
-        smoke.wall_base_s,
-        smoke.wall_s,
-        smoke.speedup()
+        smoke.completed, smoke.trace_lines, smoke.segments
     );
 }

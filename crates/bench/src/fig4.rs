@@ -44,7 +44,7 @@ pub(crate) fn seuss_cluster(mem_mib: u64) -> ClusterConfig {
 /// `invocations_per_trial` overrides N when `Some` (tests use small N);
 /// `mem_mib` sizes the SEUSS node (the paper's 88 GB for the full run).
 /// The sweep's (set size × backend) cells are independent trials, so
-/// they run on `workers` threads via [`seuss_exec::ordered_parallel`];
+/// they run on `workers` threads via [`crate::ordered_parallel`];
 /// results are identical at every worker count.
 pub fn run_fig4(
     set_sizes: &[u64],
@@ -57,7 +57,7 @@ pub fn run_fig4(
         .iter()
         .flat_map(|&m| [(m, true), (m, false)])
         .collect();
-    let measured = seuss_exec::ordered_parallel(cells, workers, |_, (m, is_seuss)| {
+    let measured = crate::ordered_parallel(cells, workers, |_, (m, is_seuss)| {
         let mut params = TrialParams::throughput(m, 42);
         if let Some(n) = invocations_per_trial {
             params.invocations = n.max(m);

@@ -36,7 +36,7 @@ pub fn run_fig5(
         .iter()
         .flat_map(|&m| [(m, true), (m, false)])
         .collect();
-    let measured = seuss_exec::ordered_parallel(cells, workers, |_, (m, is_seuss)| {
+    let measured = crate::ordered_parallel(cells, workers, |_, (m, is_seuss)| {
         let mut params = TrialParams::throughput(m, 42);
         if let Some(n) = invocations_per_trial {
             params.invocations = n.max(m);

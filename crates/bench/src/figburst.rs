@@ -101,7 +101,7 @@ pub fn run_burst_with_faults(
     faults: &FaultPlan,
     retry: RetryPolicy,
 ) -> BurstOutcome {
-    let mut sides = seuss_exec::ordered_parallel(vec![false, true], workers, |_, is_seuss| {
+    let mut sides = crate::ordered_parallel(vec![false, true], workers, |_, is_seuss| {
         let (reg, spec) = params.build();
         let cfg = if is_seuss {
             ClusterConfig {

@@ -107,28 +107,27 @@ pub fn run_figfault(
         ("seuss_no_retry", true, RetryPolicy::none()),
         ("linux", false, RetryPolicy::resilient()),
     ];
-    let mut sides =
-        seuss_exec::ordered_parallel(variants, workers, |_, (label, is_seuss, retry)| {
-            let (reg, spec) = params.build();
-            let cfg = if is_seuss {
-                ClusterConfig {
-                    faults: plan.clone(),
-                    retry,
-                    ..crate::fig4::seuss_cluster(mem_mib)
-                }
-            } else {
-                ClusterConfig {
-                    backend: BackendKind::Linux {
-                        cache_limit: 1024,
-                        stemcell_target: 256,
-                    },
-                    faults: plan.clone(),
-                    retry,
-                    ..ClusterConfig::seuss_paper()
-                }
-            };
-            side(label, run_trial(cfg, reg, &spec).records)
-        });
+    let mut sides = crate::ordered_parallel(variants, workers, |_, (label, is_seuss, retry)| {
+        let (reg, spec) = params.build();
+        let cfg = if is_seuss {
+            ClusterConfig {
+                faults: plan.clone(),
+                retry,
+                ..crate::fig4::seuss_cluster(mem_mib)
+            }
+        } else {
+            ClusterConfig {
+                backend: BackendKind::Linux {
+                    cache_limit: 1024,
+                    stemcell_target: 256,
+                },
+                faults: plan.clone(),
+                retry,
+                ..ClusterConfig::seuss_paper()
+            }
+        };
+        side(label, run_trial(cfg, reg, &spec).records)
+    });
 
     let linux = sides.pop().expect("linux side");
     let no_retry = sides.pop().expect("no-retry side");

@@ -222,7 +222,7 @@ fn run_side(label: &'static str, p: TierParams) -> TierSide {
 /// Results are byte-identical at every worker count.
 pub fn run_figtier(p: TierParams, workers: usize) -> TierOutcome {
     let labels: Vec<&'static str> = vec!["dram", "evict", "lazy", "eager", "ws"];
-    let sides = seuss_exec::ordered_parallel(labels, workers, |_, label| run_side(label, p));
+    let sides = crate::ordered_parallel(labels, workers, |_, label| run_side(label, p));
     TierOutcome { params: p, sides }
 }
 

@@ -83,7 +83,7 @@ fn drain_idle(node: &mut SeussNode, f: u64) {
 /// pre-AO and post-AO halves use separate nodes and run on `workers`
 /// threads; results are identical at every worker count.
 pub fn run_table1(iterations: u32, workers: usize) -> Table1Results {
-    let halves = seuss_exec::ordered_parallel(vec![false, true], workers, |_, with_ao| {
+    let halves = crate::ordered_parallel(vec![false, true], workers, |_, with_ao| {
         if with_ao {
             measure_ao_half(iterations)
         } else {

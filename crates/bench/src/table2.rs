@@ -81,7 +81,7 @@ fn measure(ao: AoLevel, iterations: u32) -> AoRow {
 /// The three AO levels are independent nodes and run on `workers`
 /// threads; results are identical at every worker count.
 pub fn run_table2(iterations: u32, workers: usize) -> Table2Results {
-    let rows = seuss_exec::ordered_parallel(
+    let rows = crate::ordered_parallel(
         vec![
             AoLevel::None,
             AoLevel::Network,

@@ -78,7 +78,7 @@ fn parallel_fill_rate(
 /// `workers` threads; results are identical at every worker count.
 pub fn run_table3(mem_mib: u64, seuss_density_cap: Option<u64>, workers: usize) -> Table3Results {
     let mut rows =
-        seuss_exec::ordered_parallel((0..4usize).collect(), workers, |_, method| match method {
+        crate::ordered_parallel((0..4usize).collect(), workers, |_, method| match method {
             0 => firecracker_row(mem_mib),
             1 => docker_row(mem_mib),
             2 => process_row(mem_mib),

@@ -5,7 +5,7 @@
 //! straggler cores, snapshot corruption — that the platform layer replays
 //! against its compute node at exact virtual instants. Plans are plain
 //! data: the same plan against the same seed produces byte-identical
-//! trials, including under `seuss-exec` sharding, because
+//! trials, because
 //!
 //! 1. any randomness used while *compiling* a plan (`?`-placed events)
 //!    comes from a dedicated [`simcore::stream_seed`] stream

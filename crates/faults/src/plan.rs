@@ -64,12 +64,6 @@ impl FaultKind {
             FaultKind::NodeCrash { .. } | FaultKind::SnapshotCorruption { .. } => None,
         }
     }
-
-    /// Whether the fault is node-global (observed by every function) as
-    /// opposed to targeting a single function.
-    pub fn is_global(&self) -> bool {
-        !matches!(self, FaultKind::SnapshotCorruption { .. })
-    }
 }
 
 /// One scheduled injection.
@@ -132,44 +126,6 @@ impl FaultPlan {
             .iter()
             .any(|e| matches!(e.kind, FaultKind::PacketLoss { .. }))
     }
-
-    /// The faults function `fn_id` observes: every node-global event plus
-    /// corruption events targeting exactly that function.
-    ///
-    /// This is the shard-stability contract: the plan is broadcast
-    /// verbatim to every shard, so how the workload is partitioned can
-    /// never change this set.
-    pub fn observed_by(&self, fn_id: u64) -> Vec<FaultEvent> {
-        self.events
-            .iter()
-            .filter(|e| match e.kind {
-                FaultKind::SnapshotCorruption { fn_id: f } => f == fn_id,
-                _ => true,
-            })
-            .copied()
-            .collect()
-    }
-
-    /// The plan as seen by shard `shard` of `shards`: all node-global
-    /// events, plus corruption events for functions the shard owns
-    /// (`fn_id % shards == shard`). Executing the full plan on every
-    /// shard is equivalent — corrupting a snapshot the shard never
-    /// caches is a no-op — so this view exists to *state* the
-    /// shard-stability property, not to change execution.
-    pub fn shard_view(&self, shard: u64, shards: u64) -> FaultPlan {
-        assert!(shards > 0, "shard_view requires at least one shard");
-        FaultPlan {
-            events: self
-                .events
-                .iter()
-                .filter(|e| match e.kind {
-                    FaultKind::SnapshotCorruption { fn_id } => fn_id % shards == shard,
-                    _ => true,
-                })
-                .copied()
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -229,53 +185,5 @@ mod tests {
             },
         );
         assert!(p.needs_exec_rng());
-    }
-
-    #[test]
-    fn observed_by_filters_targeted_faults() {
-        let mut p = FaultPlan::none();
-        p.push(
-            SimTime::from_secs(1),
-            FaultKind::NodeCrash {
-                reboot: SimDuration::from_millis(100),
-            },
-        );
-        p.push(
-            SimTime::from_secs(2),
-            FaultKind::SnapshotCorruption { fn_id: 4 },
-        );
-        p.push(
-            SimTime::from_secs(3),
-            FaultKind::SnapshotCorruption { fn_id: 9 },
-        );
-        let seen = p.observed_by(4);
-        assert_eq!(seen.len(), 2);
-        assert!(seen
-            .iter()
-            .all(|e| e.kind.is_global() || e.kind == FaultKind::SnapshotCorruption { fn_id: 4 }));
-    }
-
-    #[test]
-    fn shard_view_partitions_only_targeted_faults() {
-        let mut p = FaultPlan::none();
-        p.push(
-            SimTime::from_secs(1),
-            FaultKind::StragglerCore {
-                core: 2,
-                factor: 2.0,
-                span: SimDuration::from_secs(5),
-            },
-        );
-        p.push(
-            SimTime::from_secs(2),
-            FaultKind::SnapshotCorruption { fn_id: 5 },
-        );
-        let v0 = p.shard_view(0, 2);
-        let v1 = p.shard_view(1, 2);
-        assert_eq!(v0.len(), 1, "global only");
-        assert_eq!(v1.len(), 2, "global + fn 5 (5 % 2 == 1)");
-        // A function observes the same faults through its owning shard's
-        // view as through the full plan.
-        assert_eq!(v1.observed_by(5), p.observed_by(5));
     }
 }

@@ -2,18 +2,15 @@
 //!
 //! 1. compilation is a pure function of `(spec, seed)` — the same pair
 //!    always yields the identical plan, whatever the spec shape;
-//! 2. plans are shard-stable: for any plan, any shard count, and any
-//!    function, the faults the function observes through its owning
-//!    shard's view equal the faults it observes through the full plan;
-//! 3. plans sort by instant and `needs_exec_rng` is exactly "has a loss
+//! 2. plans sort by instant and `needs_exec_rng` is exactly "has a loss
 //!    window";
-//! 4. the generators shrink: a deliberately false property over plans
+//! 3. the generators shrink: a deliberately false property over plans
 //!    minimizes to a single-event plan (the harness's shrinking reaches
 //!    a locally-minimal counterexample).
 
 use seuss_check::{check, ensure, ensure_eq, gen::Gen, run_check, Config};
-use seuss_faults::{spec::compile, FaultEvent, FaultKind, FaultPlan};
-use simcore::{SimDuration, SimRng, SimTime};
+use seuss_faults::{spec::compile, FaultKind, FaultPlan};
+use simcore::{SimRng, SimTime};
 
 /// Generates one structured spec entry plus its rendered text form.
 /// Rendering then compiling must reproduce the structured event exactly
@@ -67,41 +64,6 @@ fn same_seed_compiles_identical_plans() {
             Ok(())
         },
     );
-}
-
-#[test]
-fn plans_are_shard_stable() {
-    let gen = (
-        entries(64),
-        seuss_check::range(1u64, 8),
-        seuss_check::range(0u64, 64),
-    );
-    check("faults::shard_stable", &gen, |(es, shards, fn_id)| {
-        let plan = plan_of(es, 42);
-        let owner = fn_id % shards;
-        let via_shard = plan.shard_view(owner, *shards).observed_by(*fn_id);
-        let via_full = plan.observed_by(*fn_id);
-        ensure_eq!(
-            via_shard,
-            via_full,
-            "partitioning changed what fn {fn_id} observes at {shards} shards"
-        );
-        // Non-owning shards never see the function's targeted faults.
-        for s in 0..*shards {
-            if s == owner {
-                continue;
-            }
-            let foreign = plan.shard_view(s, *shards);
-            ensure!(
-                foreign
-                    .events()
-                    .iter()
-                    .all(|e| e.kind != FaultKind::SnapshotCorruption { fn_id: *fn_id }),
-                "non-owning shard {s} sees fn {fn_id}'s corruption"
-            );
-        }
-        Ok(())
-    });
 }
 
 #[test]
@@ -160,30 +122,4 @@ fn failing_plan_properties_shrink_to_minimal_plans() {
     // The reported seed replays the original counterexample.
     let replayed = gen.generate(&mut SimRng::new(failure.seed));
     assert_eq!(replayed, failure.original);
-}
-
-#[test]
-fn observed_by_is_deterministic_union() {
-    // Directed case: every global fault plus exactly this function's
-    // corruption, in schedule order.
-    let plan = FaultPlan::from_events(vec![
-        FaultEvent {
-            at: SimTime::from_secs(2),
-            kind: FaultKind::SnapshotCorruption { fn_id: 11 },
-        },
-        FaultEvent {
-            at: SimTime::from_secs(1),
-            kind: FaultKind::NodeCrash {
-                reboot: SimDuration::from_millis(250),
-            },
-        },
-        FaultEvent {
-            at: SimTime::from_secs(3),
-            kind: FaultKind::SnapshotCorruption { fn_id: 12 },
-        },
-    ]);
-    let seen = plan.observed_by(11);
-    assert_eq!(seen.len(), 2);
-    assert_eq!(seen[0].at, SimTime::from_secs(1));
-    assert_eq!(seen[1].at, SimTime::from_secs(2));
 }

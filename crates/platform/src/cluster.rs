@@ -44,7 +44,8 @@ pub enum BackendKind {
 }
 
 /// Cluster-level configuration. Plain data (`Clone + Send + Sync`), so
-/// one config can be shared by the worker threads of a sharded trial.
+/// the experiment drivers can hand configs to worker threads that each
+/// run whole trials.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
     /// Compute backend.
@@ -1098,6 +1099,12 @@ mod tests {
         let mut r = Registry::new();
         r.register_many(0, m, FnKind::Nop);
         r
+    }
+
+    #[test]
+    fn cluster_config_is_shareable_across_threads() {
+        fn shareable<T: Clone + Send + Sync>() {}
+        shareable::<ClusterConfig>();
     }
 
     #[test]

@@ -22,11 +22,9 @@
 pub mod cluster;
 pub mod cores;
 pub mod record;
-pub mod shard;
 pub mod spec;
 
 pub use cluster::{run_trial, BackendKind, Cluster, ClusterConfig, TrialOutput};
 pub use cores::CorePool;
 pub use record::{records_jsonl, RequestRecord, RequestStatus, ServedBy, TrialAnalysis};
-pub use shard::{partition_workload, shard_of};
 pub use spec::{FnKind, FnSpec, Registry, WorkloadSpec};

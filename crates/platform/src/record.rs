@@ -44,11 +44,6 @@ pub struct RequestRecord {
     pub served_by: ServedBy,
     /// Whether this was an open-loop (burst) arrival.
     pub burst: bool,
-    /// Exact virtual completion time in nanoseconds — the merge key the
-    /// sharded executor orders records by. Not serialized (`sent_at_s` +
-    /// `latency_ms` carry the same information for readers), so CSV and
-    /// JSONL output is unchanged by its presence.
-    pub done_ns: u64,
 }
 
 impl RequestStatus {
@@ -190,7 +185,6 @@ pub fn record(
         status,
         served_by,
         burst,
-        done_ns: done_at.as_nanos(),
     }
 }
 
@@ -210,7 +204,6 @@ mod tests {
             },
             served_by: if ok { ServedBy::Hot } else { ServedBy::None },
             burst: false,
-            done_ns: ((sent + lat_ms / 1e3) * 1e9) as u64,
         }
     }
 

@@ -97,25 +97,9 @@ impl Registry {
             .insert(id, FnSpec::new(kind, id).on_runtime(runtime));
     }
 
-    /// Inserts an already-built spec under an id (the shard partitioner
-    /// uses this to copy specs between registries without re-deriving
-    /// them from a kind + salt).
-    pub fn insert_spec(&mut self, id: FnId, spec: FnSpec) {
-        self.fns.insert(id, spec);
-    }
-
     /// Looks up a function.
     pub fn get(&self, id: FnId) -> Option<&FnSpec> {
         self.fns.get(&id)
-    }
-
-    /// All registered ids in ascending order — the deterministic
-    /// iteration the partitioner needs (`HashMap` iteration order is
-    /// not).
-    pub fn ids_sorted(&self) -> Vec<FnId> {
-        let mut ids: Vec<FnId> = self.fns.keys().copied().collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// Number of registered functions.

@@ -52,5 +52,5 @@ pub mod time;
 
 pub use engine::{EventId, Scheduler, Simulation, World};
 pub use rng::{stream_seed, SimRng, Zipf};
-pub use stats::{Histogram, OnlineStats, PercentileSummary};
+pub use stats::{Histogram, PercentileSummary};
 pub use time::{SimDuration, SimTime};

@@ -24,12 +24,11 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Derives the seed for an independent sub-stream of a trial seed.
 ///
-/// Stream 0 is the identity (`stream_seed(s, 0) == s`), so a
-/// single-shard execution consumes exactly the same random sequence as
-/// an unsharded one — the byte-identity anchor the sharded executor
-/// relies on. Higher streams mix the stream index through SplitMix64,
-/// which decorrelates the xoshiro states the way per-thread `rand`
-/// stream splitting does.
+/// Stream 0 is the identity (`stream_seed(s, 0) == s`). Higher streams
+/// mix the stream index through SplitMix64, which decorrelates the
+/// xoshiro states the way per-thread `rand` stream splitting does; the
+/// fault plans draw from their own streams this way, so a fault
+/// schedule never perturbs the workload's random sequence.
 pub fn stream_seed(seed: u64, stream: u64) -> u64 {
     if stream == 0 {
         return seed;

@@ -1,4 +1,4 @@
-//! Statistics collection: online moments, latency histograms, percentiles.
+//! Statistics collection: latency histograms and percentiles.
 //!
 //! The experiment harnesses report the same aggregates the paper plots:
 //! mean throughput, and the 1st/25th/50th/75th/99th latency percentiles of
@@ -7,97 +7,6 @@
 //! tail without losing resolution at either end.
 
 use crate::time::SimDuration;
-
-/// Welford online mean/variance accumulator.
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean; zero when empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (n − 1 denominator); zero with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// The five percentiles the paper's Figure 5 shows, plus the mean.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -127,7 +36,6 @@ pub struct Histogram {
     total: u64,
     sum_ns: u128,
     underflow: u64,
-    stats: OnlineStats,
 }
 
 const SUB_BUCKETS: u32 = 16;
@@ -167,7 +75,6 @@ impl Histogram {
             total: 0,
             sum_ns: 0,
             underflow: 0,
-            stats: OnlineStats::new(),
         }
     }
 
@@ -176,7 +83,6 @@ impl Histogram {
         let ns = d.as_nanos();
         self.total += 1;
         self.sum_ns += ns as u128;
-        self.stats.record(ns as f64);
         if ns == 0 {
             self.underflow += 1;
         } else {
@@ -237,64 +143,11 @@ impl Histogram {
             mean: self.mean().as_millis_f64(),
         }
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.sum_ns += other.sum_ns;
-        self.underflow += other.underflow;
-        self.stats.merge(&other.stats);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [1.0, 2.0, 3.0, 4.0, 5.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 5);
-        assert!((s.mean() - 3.0).abs() < 1e-12);
-        assert!((s.variance() - 2.5).abs() < 1e-12);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(5.0));
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
 
     #[test]
     fn histogram_quantiles_bracket_truth() {
@@ -337,17 +190,6 @@ mod tests {
             assert_eq!(h.quantile(q), d, "q={q}");
         }
         assert_eq!(h.mean(), d);
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(SimDuration::from_millis(1));
-        b.record(SimDuration::from_millis(1000));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert!(a.quantile(0.99) >= SimDuration::from_millis(900));
     }
 
     #[test]

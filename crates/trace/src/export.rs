@@ -9,30 +9,19 @@
 use std::collections::HashMap;
 
 use crate::event::EventRecord;
-use crate::metrics::MetricsReport;
 use crate::span::SpanRecord;
-use crate::tracer::TraceDump;
 
-/// Renders one buffer's spans/events into sortable line tuples
-/// `(t, shard, seq, json)`. Span ids are shifted by `id_offset`, which is
-/// how dumps from several shard-local tracers (each numbering its spans
-/// from 0) coexist in one document. With `id_offset == 0` and
-/// `shard == 0` this is exactly the single-tracer export.
-fn emit_lines(
-    spans: &[SpanRecord],
-    events: &[EventRecord],
-    id_offset: u64,
-    shard: usize,
-    lines: &mut Vec<(u64, usize, u64, String)>,
-) {
+/// Renders the spans/events as JSON lines sorted by `(t, seq)`.
+pub(crate) fn export_jsonl(spans: &[SpanRecord], events: &[EventRecord]) -> String {
+    let mut lines: Vec<(u64, u64, String)> = Vec::new();
     for s in spans {
         let mut l = String::from("{\"type\":\"enter\",\"t\":");
         l.push_str(&s.start.as_nanos().to_string());
         l.push_str(",\"id\":");
-        l.push_str(&(s.id.as_u32() as u64 + id_offset).to_string());
+        l.push_str(&s.id.as_u32().to_string());
         if let Some(p) = s.parent {
             l.push_str(",\"parent\":");
-            l.push_str(&(p.as_u32() as u64 + id_offset).to_string());
+            l.push_str(&p.as_u32().to_string());
         }
         l.push_str(",\"name\":\"");
         l.push_str(s.name.as_str());
@@ -42,20 +31,20 @@ fn emit_lines(
             l.push_str(&f.to_string());
         }
         l.push('}');
-        lines.push((s.start.as_nanos(), shard, s.enter_seq, l));
+        lines.push((s.start.as_nanos(), s.enter_seq, l));
 
         if let Some(end) = s.end {
             let mut l = String::from("{\"type\":\"exit\",\"t\":");
             l.push_str(&end.as_nanos().to_string());
             l.push_str(",\"id\":");
-            l.push_str(&(s.id.as_u32() as u64 + id_offset).to_string());
+            l.push_str(&s.id.as_u32().to_string());
             if let Some(path) = s.path {
                 l.push_str(",\"path\":\"");
                 l.push_str(path.as_str());
                 l.push('"');
             }
             l.push('}');
-            lines.push((end.as_nanos(), shard, s.exit_seq, l));
+            lines.push((end.as_nanos(), s.exit_seq, l));
         }
     }
     for e in events {
@@ -66,68 +55,22 @@ fn emit_lines(
         l.push('"');
         if let Some(p) = e.parent {
             l.push_str(",\"parent\":");
-            l.push_str(&(p.as_u32() as u64 + id_offset).to_string());
+            l.push_str(&p.as_u32().to_string());
         }
         if let Some(n) = e.event.magnitude() {
             l.push_str(",\"n\":");
             l.push_str(&n.to_string());
         }
         l.push('}');
-        lines.push((e.at.as_nanos(), shard, e.seq, l));
+        lines.push((e.at.as_nanos(), e.seq, l));
     }
-}
-
-fn join_sorted(mut lines: Vec<(u64, usize, u64, String)>) -> String {
-    lines.sort_by_key(|l| (l.0, l.1, l.2));
+    lines.sort_by_key(|l| (l.0, l.1));
     let mut out = String::new();
-    for (_, _, _, l) in lines {
+    for (_, _, l) in lines {
         out.push_str(&l);
         out.push('\n');
     }
     out
-}
-
-pub(crate) fn export_jsonl(spans: &[SpanRecord], events: &[EventRecord]) -> String {
-    let mut lines = Vec::new();
-    emit_lines(spans, events, 0, 0, &mut lines);
-    join_sorted(lines)
-}
-
-/// Merges per-shard trace dumps into one validated JSONL document.
-///
-/// Lines are ordered by `(virtual time, shard index, sequence)` — the
-/// stable shard-index tie-break that makes the merged stream a pure
-/// function of the dumps, independent of which worker thread produced
-/// which shard first. Span ids are offset per shard so the merged
-/// document keeps ids unique; within a shard, parent links and enter/exit
-/// balance are untouched, so the result still passes [`validate_jsonl`].
-/// A single dump merges to exactly its own [`Tracer::export_jsonl`]
-/// bytes.
-///
-/// [`Tracer::export_jsonl`]: crate::Tracer::export_jsonl
-pub fn merge_jsonl(dumps: &[TraceDump]) -> String {
-    let mut lines = Vec::new();
-    let mut id_offset = 0u64;
-    for (shard, d) in dumps.iter().enumerate() {
-        emit_lines(&d.spans, &d.events, id_offset, shard, &mut lines);
-        id_offset += d.spans.len() as u64;
-    }
-    join_sorted(lines)
-}
-
-/// Merges per-shard metric state into one aggregated report. Counters
-/// add and histograms pool, so quantiles are computed over the union of
-/// all shards' samples; a single dump merges to exactly its own report.
-pub fn merge_metrics(dumps: &[TraceDump]) -> MetricsReport {
-    let mut iter = dumps.iter();
-    let Some(first) = iter.next() else {
-        return MetricsReport::empty();
-    };
-    let mut merged = first.metrics.clone();
-    for d in iter {
-        merged.merge(&d.metrics);
-    }
-    merged.report()
 }
 
 /// One parsed JSON scalar in a trace line.
@@ -405,82 +348,6 @@ mod tests {
         // Non-monotone t.
         let doc = "{\"type\":\"event\",\"t\":5,\"kind\":\"shim_hop\"}\n{\"type\":\"event\",\"t\":4,\"kind\":\"shim_hop\"}\n";
         assert!(validate_jsonl(doc).unwrap_err().contains("monotone"));
-    }
-
-    fn traced_shard(clock_ms: u64, fn_id: u64, exec_ms: u64) -> Tracer {
-        let t = Tracer::enabled();
-        t.set_clock(SimTime::from_millis(clock_ms));
-        {
-            let g = t.span(SpanName::Invoke);
-            g.annotate_fn(fn_id);
-            g.annotate_path(crate::span::PathKind::Hot);
-            {
-                let _e = t.span(SpanName::Phase(Phase::Exec));
-                t.event(TraceEvent::ShimHop);
-                t.advance(SimDuration::from_millis(exec_ms));
-            }
-        }
-        t.record_segment(
-            crate::span::PathKind::Hot,
-            [(Phase::Exec, SimDuration::from_millis(exec_ms))],
-        );
-        t
-    }
-
-    #[test]
-    fn single_dump_merge_is_byte_identical() {
-        let t = traced_shard(10, 3, 2);
-        let dump = t.dump().unwrap();
-        assert_eq!(merge_jsonl(std::slice::from_ref(&dump)), t.export_jsonl());
-        assert_eq!(
-            merge_metrics(&[dump]).to_json(),
-            t.metrics_report().to_json()
-        );
-    }
-
-    #[test]
-    fn multi_dump_merge_validates_and_sums() {
-        // Overlapping virtual-time ranges force real interleaving.
-        let a = traced_shard(10, 1, 30).dump().unwrap();
-        let b = traced_shard(20, 2, 30).dump().unwrap();
-        let doc = merge_jsonl(&[a.clone(), b.clone()]);
-        let val = validate_jsonl(&doc).unwrap();
-        assert_eq!(val.enters, 4);
-        assert_eq!(val.exits, 4);
-        assert_eq!(val.events, 2);
-        // Merge order is (t, shard, seq): shard a's t=10 enter first.
-        assert!(doc.starts_with("{\"type\":\"enter\",\"t\":10000000,\"id\":0"));
-        // Shard b's span ids are offset past shard a's two spans.
-        assert!(doc.contains("\"t\":20000000,\"id\":2"));
-
-        let report = merge_metrics(&[a, b]);
-        assert_eq!(report.segments, 2);
-        let hop = report.events.iter().find(|e| e.kind == "shim_hop").unwrap();
-        assert_eq!(hop.count, 2);
-    }
-
-    #[test]
-    fn merge_is_worker_order_independent() {
-        // The merge is a function of dump *positions*, so however worker
-        // threads raced, handing the dumps over in shard order gives one
-        // answer.
-        let a = traced_shard(10, 1, 5).dump().unwrap();
-        let b = traced_shard(10, 2, 7).dump().unwrap();
-        let doc1 = merge_jsonl(&[a.clone(), b.clone()]);
-        let doc2 = merge_jsonl(&[a.clone(), b.clone()]);
-        assert_eq!(doc1, doc2);
-        // Both shards enter at t=10ms; shard index breaks the tie, so all
-        // of shard 0's t=10 lines (enter, enter, event) precede shard 1's.
-        let head: Vec<&str> = doc1.lines().take(4).collect();
-        assert!(head[0].contains("\"fn\":1"));
-        assert!(head[2].contains("\"type\":\"event\""));
-        assert!(head[3].contains("\"fn\":2"));
-    }
-
-    #[test]
-    fn merge_of_nothing_is_empty() {
-        assert_eq!(merge_jsonl(&[]), "");
-        assert_eq!(merge_metrics(&[]).segments, 0);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod span;
 pub mod tracer;
 
 pub use event::{CacheKind, EventRecord, TraceEvent};
-pub use export::{merge_jsonl, merge_metrics, validate_jsonl, TraceValidation};
+pub use export::{validate_jsonl, TraceValidation};
 pub use metrics::{EventCount, MetricsReport, Quantiles};
 pub use span::{PathKind, Phase, SpanId, SpanName, SpanRecord};
-pub use tracer::{SpanGuard, TraceDump, Tracer};
+pub use tracer::{SpanGuard, Tracer};

@@ -43,7 +43,6 @@ const KIND_NAMES: [&str; EVENT_KINDS] = [
 ];
 
 /// Aggregated metric state inside a tracer buffer.
-#[derive(Clone)]
 pub(crate) struct Metrics {
     counters: [u64; EVENT_KINDS],
     magnitudes: [u64; EVENT_KINDS],
@@ -90,24 +89,6 @@ impl Metrics {
             }
         }
         self.per_path[path.index()].record(total);
-    }
-
-    /// Merges another shard's metrics into this one. Counters add,
-    /// histograms pool their buckets; merging one `Metrics` into a fresh
-    /// one reproduces it exactly, which is what keeps a single-shard
-    /// merged report byte-identical to the unsharded report.
-    pub(crate) fn merge(&mut self, other: &Metrics) {
-        for i in 0..EVENT_KINDS {
-            self.counters[i] += other.counters[i];
-            self.magnitudes[i] += other.magnitudes[i];
-        }
-        for (a, b) in self.per_phase.iter_mut().zip(&other.per_phase) {
-            a.merge(b);
-        }
-        for (a, b) in self.per_path.iter_mut().zip(&other.per_path) {
-            a.merge(b);
-        }
-        self.segments += other.segments;
     }
 
     pub(crate) fn report(&self) -> MetricsReport {

@@ -213,23 +213,6 @@ impl Tracer {
         }
     }
 
-    /// Takes an owned snapshot of everything this tracer recorded.
-    ///
-    /// Unlike the tracer itself (which shares one `Rc` buffer and is
-    /// confined to its thread), a [`TraceDump`] is plain data — `Send` —
-    /// so per-shard worker threads can hand their traces back to the
-    /// executor for merging. `None` when the tracer is disabled.
-    pub fn dump(&self) -> Option<TraceDump> {
-        self.inner.as_ref().map(|inner| {
-            let b = inner.borrow();
-            TraceDump {
-                spans: b.spans.clone(),
-                events: b.events.clone(),
-                metrics: b.metrics.clone(),
-            }
-        })
-    }
-
     /// Drops all recorded spans/events/metrics, keeping the clock.
     pub fn clear(&self) {
         if let Some(inner) = &self.inner {
@@ -246,32 +229,6 @@ impl Tracer {
         if let (Some(inner), Some(id)) = (&self.inner, id) {
             f(&mut inner.borrow_mut().spans[id.index()]);
         }
-    }
-}
-
-/// An owned snapshot of one tracer's buffer: spans, events, and metric
-/// state. Plain data (no `Rc`), so it crosses threads — the unit the
-/// sharded executor merges via [`crate::merge_jsonl`] /
-/// [`crate::merge_metrics`].
-#[derive(Clone)]
-pub struct TraceDump {
-    /// All recorded spans, in creation order.
-    pub spans: Vec<SpanRecord>,
-    /// All recorded events, in emission order.
-    pub events: Vec<EventRecord>,
-    pub(crate) metrics: Metrics,
-}
-
-impl TraceDump {
-    /// This dump's aggregated metrics, alone.
-    pub fn metrics_report(&self) -> MetricsReport {
-        self.metrics.report()
-    }
-
-    /// This dump's trace as JSONL, alone (same bytes as
-    /// [`Tracer::export_jsonl`] on the tracer it came from).
-    pub fn export_jsonl(&self) -> String {
-        export::export_jsonl(&self.spans, &self.events)
     }
 }
 

@@ -50,20 +50,6 @@ pub fn trial_artifacts(out: &TrialOutput) -> TrialArtifacts {
     }
 }
 
-/// Bundles a sharded trial's outputs, the parallel-executor sibling of
-/// [`trial_artifacts`]. With one shard the rendered strings are
-/// byte-identical to those of the legacy single-threaded trial; with a
-/// fixed shard count they are byte-identical at every worker count.
-pub fn sharded_artifacts(out: &seuss_exec::ShardedOutput) -> TrialArtifacts {
-    let traced = !out.trace_dumps.is_empty();
-    TrialArtifacts {
-        records_csv: records_csv(&out.records),
-        records_jsonl: records_jsonl(&out.records),
-        trace_jsonl: traced.then(|| out.trace_jsonl()),
-        metrics_json: traced.then(|| out.metrics_report().to_json()),
-    }
-}
-
 /// Renders the Figure 6–8 scatter as an aligned text series, split into
 /// background and burst streams, marking errors with `x` like the paper.
 pub fn burst_series_csv(records: &[RequestRecord]) -> String {
@@ -171,7 +157,6 @@ mod tests {
             },
             served_by: ServedBy::Hot,
             burst,
-            done_ns: ((sent + 10.0 / 1e3) * 1e9) as u64,
         }
     }
 

@@ -192,40 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runner_reproduces_legacy_artifacts() {
-        use crate::report::{sharded_artifacts, trial_artifacts};
-        use seuss_core::SeussConfig;
-        use seuss_exec::{run_sharded, ShardPlan};
-        use seuss_platform::{run_trial, BackendKind, ClusterConfig};
-        let p = TrialParams {
-            invocations: 48,
-            set_size: 6,
-            workers: 4,
-            kind: FnKind::Nop,
-            seed: 42,
-        };
-        let (reg, spec) = p.build();
-        let node = SeussConfig::builder()
-            .mem_mib(2048)
-            .build()
-            .expect("valid test config");
-        let cfg = ClusterConfig {
-            backend: BackendKind::Seuss(Box::new(node)),
-            traced: true,
-            ..ClusterConfig::seuss_paper()
-        };
-        let legacy = run_trial(cfg.clone(), reg.clone(), &spec);
-        let want = trial_artifacts(&legacy);
-        // One shard on two worker threads: must still be the legacy bytes.
-        let sharded = run_sharded(&cfg, &reg, &spec, ShardPlan::new(1, 2).from_env());
-        let got = sharded_artifacts(&sharded);
-        assert_eq!(got.records_csv, want.records_csv);
-        assert_eq!(got.records_jsonl, want.records_jsonl);
-        assert_eq!(got.trace_jsonl, want.trace_jsonl);
-        assert_eq!(got.metrics_json, want.metrics_json);
-    }
-
-    #[test]
     fn throughput_trial_scales_n() {
         let small = TrialParams::throughput(64, 0);
         assert_eq!(small.invocations, 8_192);

@@ -27,7 +27,6 @@
 //! | [`baseline`] | `seuss-baseline` | process / Docker / Firecracker baselines |
 //! | [`platform`] | `seuss-platform` | OpenWhisk-like control-plane simulation |
 //! | [`faults`] | `seuss-faults` | deterministic fault plans, retry/backoff policies |
-//! | [`exec`] | `seuss-exec` | parallel sharded trial executor, byte-deterministic |
 //! | [`workload`] | `seuss-workload` | the paper's load-generation benchmark |
 //!
 //! # Examples
@@ -63,7 +62,6 @@ pub use error::{Error, Result};
 pub use miniscript as interp;
 pub use seuss_baseline as baseline;
 pub use seuss_core as core;
-pub use seuss_exec as exec;
 pub use seuss_faults as faults;
 pub use seuss_mem as mem;
 pub use seuss_net as net;

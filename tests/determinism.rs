@@ -3,9 +3,8 @@
 //! in EXPERIMENTS.md reproducible.
 
 use seuss::core::SeussConfig;
-use seuss::exec::{run_sharded, ShardPlan};
 use seuss::platform::{run_trial, BackendKind, ClusterConfig};
-use seuss::workload::{records_csv, sharded_artifacts, BurstParams, TrialParams};
+use seuss::workload::{records_csv, BurstParams, TrialParams};
 
 fn seuss_cfg() -> ClusterConfig {
     let node = SeussConfig::builder()
@@ -137,78 +136,6 @@ fn cross_run_replay_is_byte_identical_for_both_backends() {
             "{name}: records_jsonl differs across runs"
         );
         assert!(!csv_a.is_empty(), "{name}: trial produced no records");
-    }
-}
-
-#[test]
-fn sharded_executor_is_byte_identical_across_worker_counts() {
-    // The parallel executor's contract: for a fixed shard count, the
-    // worker-thread count is pure execution speed — a seeded fig4-style
-    // trial renders byte-identical records CSV, records JSONL, trace
-    // JSONL, and metrics JSON at workers ∈ {1, 2, 4}.
-    let (reg, spec) = TrialParams::throughput(64, 7).build();
-    let node = SeussConfig::builder()
-        .mem_mib(2048)
-        .build()
-        .expect("valid config");
-    let cfg = ClusterConfig {
-        backend: BackendKind::Seuss(Box::new(node)),
-        traced: true,
-        ..ClusterConfig::seuss_paper()
-    };
-    let run = |workers: usize| {
-        let out = run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, workers));
-        (sharded_artifacts(&out), out.finished_at, out.events)
-    };
-    let (a1, fin1, ev1) = run(1);
-    for workers in [2usize, 4] {
-        let (a, fin, ev) = run(workers);
-        assert_eq!(
-            a.records_csv, a1.records_csv,
-            "records CSV diverges at workers={workers}"
-        );
-        assert_eq!(
-            a.records_jsonl, a1.records_jsonl,
-            "records JSONL diverges at workers={workers}"
-        );
-        assert_eq!(
-            a.trace_jsonl, a1.trace_jsonl,
-            "trace JSONL diverges at workers={workers}"
-        );
-        assert_eq!(
-            a.metrics_json, a1.metrics_json,
-            "metrics report diverges at workers={workers}"
-        );
-        assert_eq!(fin, fin1, "finished_at diverges at workers={workers}");
-        assert_eq!(ev, ev1, "event count diverges at workers={workers}");
-    }
-    assert!(!a1.records_csv.is_empty());
-}
-
-#[test]
-fn one_shard_reproduces_the_legacy_single_threaded_trial() {
-    // shards = 1 must degenerate to exactly the legacy `run_trial`
-    // artifacts, even when executed through the parallel machinery.
-    let (reg, spec) = TrialParams {
-        invocations: 192,
-        set_size: 24,
-        workers: 8,
-        kind: seuss::platform::FnKind::Nop,
-        seed: 1234,
-    }
-    .build();
-    let legacy = run_trial(seuss_cfg(), reg.clone(), &spec);
-
-    let cfg = seuss_cfg();
-    for workers in [1usize, 4] {
-        let sharded = run_sharded(&cfg, &reg, &spec, ShardPlan::new(1, workers));
-        assert_eq!(
-            records_csv(&sharded.records),
-            records_csv(&legacy.records),
-            "one-shard run diverges from legacy at workers={workers}"
-        );
-        assert_eq!(sharded.finished_at, legacy.finished_at);
-        assert_eq!(sharded.events, legacy.events);
     }
 }
 

@@ -1,20 +1,17 @@
 //! Cross-crate tiering tests: the storage tier end to end through the
-//! node, the cluster, and the sharded executor.
+//! node and the cluster.
 //!
 //! - a demoted snapshot round-trips byte-exact through a real deploy
 //!   under every restore policy;
 //! - working-set prefetch is strictly cheaper than lazy paging and
 //!   never dearer than the eager full restore on the recorded set;
 //! - a fault-free tiered run whose device never has to absorb pressure
-//!   is byte-identical to the untiered in-memory path;
-//! - a pressured, demoting, sharded trial is byte-identical at 1, 2,
-//!   and 4 worker threads.
+//!   is byte-identical to the untiered in-memory path.
 
 use seuss::core::{Invocation, PathKind, SeussConfig, SeussNode};
-use seuss::exec::{run_sharded, ShardPlan};
 use seuss::platform::{run_trial, BackendKind, ClusterConfig, FnKind};
 use seuss::store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig};
-use seuss::workload::{sharded_artifacts, TrialParams};
+use seuss::workload::TrialParams;
 use simcore::SimDuration;
 
 /// A function whose result depends on a multi-page data literal, so a
@@ -208,57 +205,4 @@ fn unpressured_tiered_trial_is_byte_identical_to_the_in_memory_path() {
     let untiered = run(None);
     let tiered = run(Some(StoreConfig::nvme_prefetch()));
     assert_eq!(untiered, tiered, "an idle tier changed the trial's bytes");
-}
-
-#[test]
-fn pressured_sharded_trial_is_byte_identical_at_1_2_and_4_workers() {
-    // Small shard nodes with an aggressive reclaim threshold: every
-    // shard's OOM daemon demotes through its own store view during the
-    // trial. Shard count is fixed (it determines the bytes); the worker
-    // count must not matter.
-    let node = SeussConfig::test_builder()
-        .mem_mib(48)
-        .reclaim_threshold_frames(Some(1200))
-        .store(Some(StoreConfig::nvme_prefetch()))
-        .build()
-        .expect("valid pressured config");
-    let cfg = ClusterConfig {
-        backend: BackendKind::Seuss(Box::new(node)),
-        traced: true,
-        ..ClusterConfig::seuss_paper()
-    };
-    let (reg, spec) = TrialParams {
-        invocations: 160,
-        set_size: 32,
-        workers: 8,
-        kind: FnKind::Nop,
-        seed: 77,
-    }
-    .build();
-
-    let base = sharded_artifacts(&run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, 1)));
-    let metrics = base.metrics_json.as_deref().expect("traced run");
-    assert!(
-        metrics.contains("tier:demote"),
-        "pressure never reached the tier; the test is vacuous"
-    );
-    for workers in [2, 4] {
-        let got = sharded_artifacts(&run_sharded(&cfg, &reg, &spec, ShardPlan::new(4, workers)));
-        assert_eq!(
-            base.records_csv, got.records_csv,
-            "records diverged at workers={workers}"
-        );
-        assert_eq!(
-            base.records_jsonl, got.records_jsonl,
-            "jsonl diverged at workers={workers}"
-        );
-        assert_eq!(
-            base.trace_jsonl, got.trace_jsonl,
-            "trace diverged at workers={workers}"
-        );
-        assert_eq!(
-            base.metrics_json, got.metrics_json,
-            "metrics diverged at workers={workers}"
-        );
-    }
 }
