@@ -12,9 +12,10 @@
 //! backends (see `seuss::faults::spec` for the grammar).
 
 use seuss::faults::RetryPolicy;
-use seuss_bench::{fault_plan_arg, positionals, run_burst_with_faults, workers_arg};
-use seuss_platform::RequestStatus;
-use seuss_workload::{burst_series_csv, BurstParams};
+use seuss_bench::{
+    burst_series_csv, fault_plan_arg, positionals, run_burst_with_faults, workers_arg,
+};
+use seuss_platform::{BurstParams, RequestStatus};
 
 fn timeline(records: &[seuss_platform::RequestRecord], span_s: f64) -> String {
     // One column per second; mark the worst event in that second:

@@ -18,14 +18,15 @@
 use seuss::faults::spec::compile;
 use seuss_bench::cli::{fault_seed_arg, fault_spec_arg};
 use seuss_bench::{
-    availability_csv, default_fault_spec, positionals, run_figfault, workers_arg, FaultOutcome,
+    availability_csv, default_fault_spec, per_second_series, positionals, run_figfault,
+    workers_arg, FaultOutcome,
 };
-use seuss_workload::BurstParams;
+use seuss_platform::BurstParams;
 
 fn timeline(out: &FaultOutcome) -> String {
     let mut s = String::new();
     for side in [&out.resilient, &out.no_retry, &out.linux] {
-        let series = seuss_workload::report::per_second_series(&side.records);
+        let series = per_second_series(&side.records);
         let cols = series.last().map_or(0, |b| b.second as usize) + 1;
         let mut marks = vec![' '; cols];
         for b in &series {

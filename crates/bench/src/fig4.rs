@@ -8,8 +8,7 @@
 //! the mostly-unique workload.
 
 use seuss_core::SeussConfig;
-use seuss_platform::{run_trial, BackendKind, ClusterConfig};
-use seuss_workload::TrialParams;
+use seuss_platform::{run_trial, BackendKind, ClusterConfig, TrialParams};
 
 /// One set-size point for one backend.
 #[derive(Clone, Copy, Debug)]

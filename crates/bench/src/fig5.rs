@@ -6,8 +6,7 @@
 //! distribution explodes into seconds (every miss is a container create
 //! + evict) while SEUSS moves by single-digit milliseconds.
 
-use seuss_platform::run_trial;
-use seuss_workload::TrialParams;
+use seuss_platform::{run_trial, TrialParams};
 use simcore::PercentileSummary;
 
 /// One (backend, set size) row of Figure 5.

@@ -11,10 +11,8 @@
 //! an error.
 
 use seuss::faults::{FaultPlan, RetryPolicy};
-use seuss_platform::{run_trial, BackendKind, ClusterConfig, RequestRecord, RequestStatus};
-use seuss_workload::{
-    report::{per_second_series, SecondBucket},
-    BurstParams,
+use seuss_platform::{
+    run_trial, BackendKind, BurstParams, ClusterConfig, RequestRecord, RequestStatus,
 };
 
 /// One platform variant under the fault schedule.
@@ -58,6 +56,59 @@ pub fn default_fault_spec(params: &BurstParams) -> String {
     let loss_at = params.lead_in_s;
     let loss_span = params.period_s * 2;
     format!("crash@{crash_at}s+2s,loss@{loss_at}s+{loss_span}s:0.3")
+}
+
+/// One second of a burst-figure time series.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SecondBucket {
+    /// Second index (floor of send time).
+    pub second: u64,
+    /// Requests sent this second.
+    pub sent: u64,
+    /// Errors among them.
+    pub errors: u64,
+    /// Median latency of successes, ms (NaN if none).
+    pub p50_ms: f64,
+    /// 99th-percentile latency of successes, ms (NaN if none).
+    pub p99_ms: f64,
+}
+
+/// Aggregates records into per-second buckets — the resolution at which
+/// Figures 6–8 are drawn. Only seconds with traffic appear.
+pub fn per_second_series(records: &[RequestRecord]) -> Vec<SecondBucket> {
+    use std::collections::BTreeMap;
+    let mut buckets: BTreeMap<u64, (u64, u64, Vec<f64>)> = BTreeMap::new();
+    for r in records {
+        let e = buckets
+            .entry(r.sent_at_s as u64)
+            .or_insert((0, 0, Vec::new()));
+        e.0 += 1;
+        if r.status == RequestStatus::Ok {
+            e.2.push(r.latency_ms);
+        } else {
+            e.1 += 1;
+        }
+    }
+    buckets
+        .into_iter()
+        .map(|(second, (sent, errors, mut lat))| {
+            lat.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            let pick = |q: f64| -> f64 {
+                if lat.is_empty() {
+                    f64::NAN
+                } else {
+                    lat[((lat.len() - 1) as f64 * q) as usize]
+                }
+            };
+            SecondBucket {
+                second,
+                sent,
+                errors,
+                p50_ms: pick(0.5),
+                p99_ms: pick(0.99),
+            }
+        })
+        .collect()
 }
 
 fn side(label: &'static str, records: Vec<RequestRecord>) -> FaultSide {
@@ -166,6 +217,7 @@ pub fn availability_csv(out: &FaultOutcome) -> String {
 mod tests {
     use super::*;
     use seuss::faults::spec::compile;
+    use seuss_platform::ServedBy;
 
     fn small() -> BurstParams {
         BurstParams {
@@ -238,5 +290,40 @@ mod tests {
             seuss_platform::records_jsonl(&out.resilient.records),
             seuss_platform::records_jsonl(&out.no_retry.records)
         );
+    }
+
+    fn rec(ok: bool, sent: f64) -> RequestRecord {
+        RequestRecord {
+            fn_id: 1,
+            sent_at_s: sent,
+            latency_ms: 10.0,
+            status: if ok {
+                RequestStatus::Ok
+            } else {
+                RequestStatus::Error
+            },
+            served_by: ServedBy::Hot,
+            burst: false,
+        }
+    }
+
+    #[test]
+    fn per_second_buckets_aggregate() {
+        let records = vec![
+            rec(true, 0.2),
+            rec(true, 0.9),
+            rec(false, 1.1),
+            rec(true, 3.5),
+        ];
+        let series = per_second_series(&records);
+        assert_eq!(series.len(), 3, "only seconds with traffic");
+        assert_eq!(series[0].second, 0);
+        assert_eq!(series[0].sent, 2);
+        assert_eq!(series[0].errors, 0);
+        assert_eq!(series[0].p50_ms, 10.0);
+        assert_eq!(series[1].second, 1);
+        assert_eq!(series[1].errors, 1);
+        assert!(series[1].p50_ms.is_nan(), "no successes that second");
+        assert_eq!(series[2].second, 3);
     }
 }

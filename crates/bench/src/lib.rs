@@ -17,8 +17,8 @@
 //! | `dr_seuss` | §9 DR-SEUSS: remote-warm snapshot migration vs local cold vs full-image ship |
 //!
 //! Micro-benchmarks of the underlying mechanisms live in `benches/`
-//! (snapshot capture/deploy, page-fault service, interpreter
-//! compile/exec, and the design-choice ablations from DESIGN.md), driven
+//! (demand-zero and COW page-fault service, and the design-choice
+//! ablations from DESIGN.md: deploy, capture, AO, GC vs COW), driven
 //! by the in-tree [`timing`] harness, which keeps the workspace fully
 //! offline-buildable.
 //!
@@ -49,8 +49,10 @@ pub use cli::{fault_plan_arg, positionals, workers_arg, BenchArgs};
 pub use dr_seuss::{run_dr_seuss, DrSeussReport};
 pub use fig4::{run_fig4, Fig4Point};
 pub use fig5::{run_fig5, Fig5Row};
-pub use figburst::{run_burst, run_burst_with_faults, BurstOutcome};
-pub use figfault::{availability_csv, default_fault_spec, run_figfault, FaultOutcome};
+pub use figburst::{burst_series_csv, run_burst_with_faults, BurstOutcome};
+pub use figfault::{
+    availability_csv, default_fault_spec, per_second_series, run_figfault, FaultOutcome,
+};
 pub use figtier::{run_figtier, tier_csv, TierOutcome, TierParams};
 pub use parallel::ordered_parallel;
 pub use render::{ratio, Table};

@@ -138,7 +138,7 @@ impl<T: Int> Gen for IntGen<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Booleans and floats
+// Booleans
 // ---------------------------------------------------------------------------
 
 /// Uniform boolean, shrinking `true → false`.
@@ -160,33 +160,6 @@ impl Gen for BoolGen {
         } else {
             Vec::new()
         }
-    }
-}
-
-/// Uniform `f64` in `[0, 1)`, shrinking toward `0.0` by halving.
-pub fn unit_f64() -> UnitF64Gen {
-    UnitF64Gen
-}
-
-/// See [`unit_f64`].
-pub struct UnitF64Gen;
-
-impl Gen for UnitF64Gen {
-    type Value = f64;
-    fn generate(&self, rng: &mut SimRng) -> f64 {
-        rng.next_f64()
-    }
-    fn shrink(&self, value: &f64) -> Vec<f64> {
-        if *value == 0.0 {
-            return Vec::new();
-        }
-        let mut out = vec![0.0];
-        let mut v = *value / 2.0;
-        while v > 1e-9 && out.len() < 8 {
-            out.push(v);
-            v /= 2.0;
-        }
-        out
     }
 }
 

@@ -10,15 +10,15 @@
 //! * **Seeded generators** built on [`simcore::SimRng`] — every case's
 //!   seed derives from the property name and case index, never the wall
 //!   clock, so runs are hermetic and byte-replayable.
-//! * **A [`Gen`] trait** with integer/vector/tuple/choice combinators and
-//!   generators for the core domain types (virtual addresses, page
-//!   permissions, boot profiles, burst traces) in [`domain`].
+//! * **A [`Gen`] trait** with integer/bool/vector/tuple/choice
+//!   combinators; suites write their domain generators on top of them.
 //! * **Binary-search shrinking**: integers bisect toward zero, vectors
 //!   drop halving-sized chunks, tuples shrink componentwise. Failures
 //!   report both the raw and the minimized counterexample.
 //! * **Failure-seed replay**: every report names the seed; re-run just
 //!   that case with `SEUSS_CHECK_SEED=<seed> cargo test`. Case counts
-//!   scale with `SEUSS_CHECK_CASES=<n>`.
+//!   scale with `SEUSS_CHECK_CASES=<n>`. Both must be positive integers;
+//!   anything else panics, naming the variable.
 //!
 //! # Examples
 //!
@@ -42,11 +42,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod domain;
 pub mod gen;
 pub mod runner;
 
-pub use gen::{bools, choice, just, one_of, range, unit_f64, vecs, BoxedGen, Gen};
+pub use gen::{bools, choice, just, one_of, range, vecs, BoxedGen, Gen};
 pub use runner::{check, check_with, run_check, Config, Failure, CASES_ENV, SEED_ENV};
 // Custom `Gen` impls need the RNG type; re-export it so test crates
 // don't have to depend on simcore directly.

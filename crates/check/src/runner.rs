@@ -18,6 +18,29 @@ pub const SEED_ENV: &str = "SEUSS_CHECK_SEED";
 /// Environment variable that overrides the per-property case count.
 pub const CASES_ENV: &str = "SEUSS_CHECK_CASES";
 
+/// Parses a [`CASES_ENV`] or [`SEED_ENV`] value: a positive integer,
+/// surrounding whitespace allowed. The error names the variable and the
+/// value — zero cases would pass every property vacuously, and a seed
+/// that does not parse would run the whole suite instead of the replay.
+fn parse_setting<T: std::str::FromStr + Default + PartialEq>(
+    var: &str,
+    value: &str,
+) -> Result<T, String> {
+    value
+        .trim()
+        .parse()
+        .ok()
+        .filter(|n| *n != T::default())
+        .ok_or_else(|| format!("invalid {var}={value:?}: expected a positive integer"))
+}
+
+/// Reads [`parse_setting`]'s variable; `None` when unset, a panic when
+/// set to anything but a positive integer.
+fn setting<T: std::str::FromStr + Default + PartialEq>(var: &str) -> Option<T> {
+    let value = std::env::var_os(var)?;
+    Some(parse_setting(var, &value.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")))
+}
+
 /// Runner configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
@@ -29,12 +52,8 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        let cases = std::env::var(CASES_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(64);
         Config {
-            cases,
+            cases: setting(CASES_ENV).unwrap_or(64),
             max_shrink_steps: 4096,
         }
     }
@@ -209,7 +228,7 @@ where
     G: Gen,
     F: Fn(&G::Value) -> Result<(), String>,
 {
-    let replay: Option<u64> = std::env::var(SEED_ENV).ok().and_then(|v| v.parse().ok());
+    let replay: Option<u64> = setting(SEED_ENV);
     let base = fnv1a(name);
     let cases = if replay.is_some() { 1 } else { config.cases };
 
@@ -355,6 +374,21 @@ mod tests {
         )
         .expect("must fail");
         assert_eq!(f.minimized, 4_242, "exact boundary found by binary search");
+    }
+
+    #[test]
+    fn settings_must_be_positive_integers() {
+        assert_eq!(parse_setting::<u32>(CASES_ENV, "16"), Ok(16));
+        assert_eq!(parse_setting::<u64>(SEED_ENV, " 42\n"), Ok(42));
+        for bad in ["0", "-3", "abc", ""] {
+            let err = parse_setting::<u32>(CASES_ENV, bad).expect_err(bad);
+            assert!(
+                err.contains(CASES_ENV) && err.contains(&format!("{bad:?}")),
+                "{err}"
+            );
+        }
+        let err = parse_setting::<u64>(SEED_ENV, "abc").expect_err("garbage seed");
+        assert!(err.contains(SEED_ENV) && err.contains("\"abc\""), "{err}");
     }
 
     #[test]

@@ -27,4 +27,4 @@ pub mod spec;
 pub use cluster::{run_trial, BackendKind, Cluster, ClusterConfig, TrialOutput};
 pub use cores::CorePool;
 pub use record::{records_jsonl, RequestRecord, RequestStatus, ServedBy, TrialAnalysis};
-pub use spec::{FnKind, FnSpec, Registry, WorkloadSpec};
+pub use spec::{BurstParams, FnKind, FnSpec, Registry, TrialParams, WorkloadSpec};

@@ -87,8 +87,8 @@ impl RequestRecord {
     }
 }
 
-/// Dumps records as newline-delimited JSON (one object per line), the
-/// machine-readable sibling of `records_csv`.
+/// Dumps records as newline-delimited JSON (one object per line): the
+/// per-request artifact of a trial.
 pub fn records_jsonl(records: &[RequestRecord]) -> String {
     let mut out = String::new();
     for r in records {

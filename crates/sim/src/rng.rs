@@ -5,7 +5,7 @@
 //! lines) instead of pulling `rand` into the workspace, keeping the whole
 //! dependency graph free of external crates. The distributions the
 //! workload generators need (exponential inter-arrivals, [`Zipf`]
-//! popularity skew) live here too, so `seuss-workload` and `seuss-check`
+//! popularity skew) live here too, so the load generators and `seuss-check`
 //! share one deterministic randomness source.
 
 /// Deterministic pseudo-random number generator (`xoshiro256**`).

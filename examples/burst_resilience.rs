@@ -7,8 +7,7 @@
 //! ```
 
 use seuss::core::SeussConfig;
-use seuss::platform::{BackendKind, ClusterConfig, RequestStatus};
-use seuss::workload::BurstParams;
+use seuss::platform::{BackendKind, BurstParams, ClusterConfig, RequestStatus};
 
 fn main() {
     let period: u64 = std::env::args()

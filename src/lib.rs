@@ -25,9 +25,10 @@
 //! | [`unikernel`] | `seuss-unikernel` | Rumprun-style UCs with the invocation driver |
 //! | [`core`] | `seuss-core` | the SEUSS OS node: cold/warm/hot paths, AO, caches |
 //! | [`baseline`] | `seuss-baseline` | process / Docker / Firecracker baselines |
-//! | [`platform`] | `seuss-platform` | OpenWhisk-like control-plane simulation |
+//! | [`store`] | `seuss-store` | NVMe snapshot tier: demotion, prefetch-on-restore |
+//! | [`trace`] | `seuss-trace` | virtual-time spans, events, metrics, JSONL export |
+//! | [`platform`] | `seuss-platform` | OpenWhisk-like control-plane simulation and the §7 load generators |
 //! | [`faults`] | `seuss-faults` | deterministic fault plans, retry/backoff policies |
-//! | [`workload`] | `seuss-workload` | the paper's load-generation benchmark |
 //!
 //! # Examples
 //!
@@ -71,5 +72,4 @@ pub use seuss_snapshot as snapshot;
 pub use seuss_store as store;
 pub use seuss_trace as trace;
 pub use seuss_unikernel as unikernel;
-pub use seuss_workload as workload;
 pub use simcore as sim;

@@ -3,8 +3,9 @@
 //! in EXPERIMENTS.md reproducible.
 
 use seuss::core::SeussConfig;
-use seuss::platform::{run_trial, BackendKind, ClusterConfig};
-use seuss::workload::{records_csv, BurstParams, TrialParams};
+use seuss::platform::{
+    records_jsonl, run_trial, BackendKind, BurstParams, ClusterConfig, TrialParams,
+};
 
 fn seuss_cfg() -> ClusterConfig {
     let node = SeussConfig::builder()
@@ -29,7 +30,7 @@ fn seuss_trials_are_deterministic() {
         }
         .build();
         let out = run_trial(seuss_cfg(), reg, &spec);
-        (records_csv(&out.records), out.finished_at, out.events)
+        (records_jsonl(&out.records), out.finished_at, out.events)
     };
     let a = run();
     let b = run();
@@ -52,7 +53,7 @@ fn linux_trials_are_deterministic_with_fixed_seed() {
         }
         .build();
         let out = run_trial(ClusterConfig::linux_paper(), reg, &spec);
-        records_csv(&out.records)
+        records_jsonl(&out.records)
     };
     assert_eq!(run(), run());
 }
@@ -80,7 +81,7 @@ fn linux_replay_holds_when_idle_containers_share_a_function() {
             },
             ..ClusterConfig::linux_paper()
         };
-        records_csv(&run_trial(cfg, reg, &spec).records)
+        records_jsonl(&run_trial(cfg, reg, &spec).records)
     };
     let first = run();
     for _ in 0..4 {
@@ -96,7 +97,7 @@ fn burst_runs_are_deterministic() {
         p.burst_size = 32;
         let (reg, spec) = p.build();
         let out = run_trial(seuss_cfg(), reg, &spec);
-        records_csv(&out.records)
+        records_jsonl(&out.records)
     };
     assert_eq!(run(), run());
 }
@@ -105,8 +106,8 @@ fn burst_runs_are_deterministic() {
 fn cross_run_replay_is_byte_identical_for_both_backends() {
     // The replay contract, stated once for every backend: a fresh
     // `run_trial` with an identical seed must reproduce the full record
-    // stream byte-for-byte — in both the CSV and the JSON-lines
-    // renderings — with nothing shared between the two invocations.
+    // stream byte-for-byte with nothing shared between the two
+    // invocations.
     type CfgFn = fn() -> ClusterConfig;
     let backends: [(&str, CfgFn); 2] = [
         ("seuss", seuss_cfg as CfgFn),
@@ -123,19 +124,11 @@ fn cross_run_replay_is_byte_identical_for_both_backends() {
             }
             .build();
             let out = run_trial(cfg(), reg, &spec);
-            (
-                records_csv(&out.records),
-                seuss::platform::records_jsonl(&out.records),
-            )
+            records_jsonl(&out.records)
         };
-        let (csv_a, jsonl_a) = run();
-        let (csv_b, jsonl_b) = run();
-        assert_eq!(csv_a, csv_b, "{name}: records_csv differs across runs");
-        assert_eq!(
-            jsonl_a, jsonl_b,
-            "{name}: records_jsonl differs across runs"
-        );
-        assert!(!csv_a.is_empty(), "{name}: trial produced no records");
+        let a = run();
+        assert_eq!(a, run(), "{name}: records_jsonl differs across runs");
+        assert!(!a.is_empty(), "{name}: trial produced no records");
     }
 }
 
@@ -158,5 +151,5 @@ fn different_seeds_change_the_order_not_the_aggregates() {
     assert_eq!(a.analysis.completed, b.analysis.completed);
     assert_eq!(a.analysis.paths.0, b.analysis.paths.0);
     // …but a genuinely different interleaving.
-    assert_ne!(records_csv(&a.records), records_csv(&b.records));
+    assert_ne!(records_jsonl(&a.records), records_jsonl(&b.records));
 }

@@ -13,11 +13,10 @@ use seuss::core::SeussConfig;
 use seuss::faults::{FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 use seuss::platform::{
     records_jsonl, run_trial, BackendKind, ClusterConfig, FnKind, Registry, ServedBy, TrialOutput,
-    WorkloadSpec,
+    TrialParams, WorkloadSpec,
 };
 use seuss::sim::{SimDuration, SimTime};
 use seuss::store::StoreConfig;
-use seuss::workload::TrialParams;
 use seuss_bench::{run_dr_seuss, run_trace_smoke};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/golden.txt");

@@ -9,9 +9,8 @@
 //!   is byte-identical to the untiered in-memory path.
 
 use seuss::core::{Invocation, PathKind, SeussConfig, SeussNode};
-use seuss::platform::{run_trial, BackendKind, ClusterConfig, FnKind};
+use seuss::platform::{records_jsonl, run_trial, BackendKind, ClusterConfig, FnKind, TrialParams};
 use seuss::store::{DeviceConfig, ReclaimMode, RestorePolicy, StoreConfig};
-use seuss::workload::TrialParams;
 use simcore::SimDuration;
 
 /// A function whose result depends on a multi-page data literal, so a
@@ -195,12 +194,7 @@ fn unpressured_tiered_trial_is_byte_identical_to_the_in_memory_path() {
         }
         .build();
         let out = run_trial(cfg, reg, &spec);
-        (
-            seuss::workload::records_csv(&out.records),
-            seuss::platform::records_jsonl(&out.records),
-            out.finished_at,
-            out.events,
-        )
+        (records_jsonl(&out.records), out.finished_at, out.events)
     };
     let untiered = run(None);
     let tiered = run(Some(StoreConfig::nvme_prefetch()));

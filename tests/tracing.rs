@@ -5,10 +5,11 @@
 //! binaries consume it.
 
 use seuss::core::SeussConfig;
-use seuss::platform::{run_trial, BackendKind, ClusterConfig, FnKind, Registry, WorkloadSpec};
+use seuss::platform::{
+    records_jsonl, run_trial, BackendKind, ClusterConfig, FnKind, Registry, WorkloadSpec,
+};
 use seuss::sim::SimDuration;
 use seuss::trace::{validate_jsonl, SpanName};
-use seuss::workload::trial_artifacts;
 
 fn traced_trial() -> seuss::platform::TrialOutput {
     let node = SeussConfig::builder()
@@ -86,7 +87,8 @@ fn trial_metrics_cover_all_three_paths() {
     assert!(by_path.contains(&"hot"), "{by_path:?}");
     let json = report.to_json();
     assert!(json.starts_with('{') && json.ends_with('}'));
-    // The artifact bundle carries all of it.
-    let a = trial_artifacts(&out);
-    assert!(a.trace_jsonl.is_some() && a.metrics_json.is_some());
+    // Every artifact a traced trial writes renders from the output.
+    let records = records_jsonl(&out.records);
+    assert_eq!(records.lines().count(), out.records.len());
+    validate_jsonl(&out.tracer.export_jsonl()).expect("trace validates");
 }
