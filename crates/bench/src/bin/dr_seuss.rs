@@ -7,12 +7,12 @@
 //! See [`seuss_bench::dr_seuss`] for the scenario and the strategies it
 //! compares.
 
-use seuss_bench::{positionals, run_dr_seuss};
+use seuss_bench::{positional, positionals, run_dr_seuss};
 
 fn main() {
     let args = positionals();
-    let nodes: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(4);
-    let functions: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(64);
+    let nodes: usize = positional(&args, 0, "nodes", 4);
+    let functions: u64 = positional(&args, 1, "functions", 64);
     eprintln!("running DR-SEUSS on a {nodes}-node cluster ({functions} functions)…");
     let report = run_dr_seuss(nodes, functions);
     eprintln!(

@@ -8,7 +8,7 @@
 //! The default is the paper-scale sweep: 64 … 65536 functions on an
 //! 88 GiB node. Output is a text series plus a log-scale ASCII plot.
 
-use seuss_bench::{positionals, run_fig4, workers_arg, Table};
+use seuss_bench::{positional, positionals, run_fig4, workers_arg, Table};
 
 fn bar(v: f64, max: f64, width: usize) -> String {
     if v <= 0.0 {
@@ -21,11 +21,8 @@ fn bar(v: f64, max: f64, width: usize) -> String {
 
 fn main() {
     let args = positionals();
-    let max_m: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(65_536);
-    let mem_mib: u64 = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(88 * 1024);
+    let max_m: u64 = positional(&args, 0, "max_set_size", 65_536);
+    let mem_mib: u64 = positional(&args, 1, "mem_mib", 88 * 1024);
     let workers = workers_arg(1);
     let mut sizes = Vec::new();
     let mut m = 64u64;

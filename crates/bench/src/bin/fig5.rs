@@ -5,13 +5,10 @@
 //! cargo run --release -p seuss-bench --bin fig5 [mem_mib] [--workers N]
 //! ```
 
-use seuss_bench::{positionals, run_fig5, workers_arg, Table};
+use seuss_bench::{positional, positionals, run_fig5, workers_arg, Table};
 
 fn main() {
-    let mem_mib: u64 = positionals()
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(24 * 1024);
+    let mem_mib: u64 = positional(&positionals(), 0, "mem_mib", 24 * 1024);
     let workers = workers_arg(1);
     let sizes = [64, 2_048, 16_384];
     eprintln!("running Figure 5 at set sizes {sizes:?} ({workers} worker threads)…");

@@ -13,7 +13,7 @@
 
 use seuss::faults::RetryPolicy;
 use seuss_bench::{
-    burst_series_csv, fault_plan_arg, positionals, run_burst_with_faults, workers_arg,
+    burst_series_csv, fault_plan_arg, positional, positionals, run_burst_with_faults, workers_arg,
 };
 use seuss_platform::{BurstParams, RequestStatus};
 
@@ -49,7 +49,7 @@ fn timeline(records: &[seuss_platform::RequestRecord], span_s: f64) -> String {
 
 fn main() {
     let args = positionals();
-    let period: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(32);
+    let period: u64 = positional(&args, 0, "period", 32);
     let csv_path = args.get(1).cloned();
     let workers = workers_arg(2);
     let plan = fault_plan_arg(42);

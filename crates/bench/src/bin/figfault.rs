@@ -18,7 +18,7 @@
 use seuss::faults::spec::compile;
 use seuss_bench::cli::{fault_seed_arg, fault_spec_arg};
 use seuss_bench::{
-    availability_csv, default_fault_spec, per_second_series, positionals, run_figfault,
+    availability_csv, default_fault_spec, per_second_series, positional, positionals, run_figfault,
     workers_arg, FaultOutcome,
 };
 use seuss_platform::BurstParams;
@@ -55,8 +55,8 @@ fn timeline(out: &FaultOutcome) -> String {
 
 fn main() {
     let args = positionals();
-    let period: u64 = args.first().and_then(|s| s.parse().ok()).unwrap_or(16);
-    let bursts: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(10);
+    let period: u64 = positional(&args, 0, "period", 16);
+    let bursts: u32 = positional(&args, 1, "bursts", 10);
     let csv_path = args
         .get(2)
         .cloned()

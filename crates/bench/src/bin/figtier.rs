@@ -12,7 +12,7 @@
 //! nonzero on any divergence or if the figure's claims (density above
 //! the DRAM cap, prefetch restores under lazy) fail to reproduce.
 
-use seuss_bench::cli::BenchArgs;
+use seuss_bench::cli::{positional, BenchArgs};
 use seuss_bench::{run_figtier, tier_csv, TierParams};
 use seuss_trace::PathKind;
 
@@ -20,15 +20,9 @@ fn main() {
     let args = BenchArgs::parse(4);
     let pos = &args.positionals;
     let mut p = TierParams::small();
-    if let Some(v) = pos.first() {
-        p.fns = v.parse().expect("fns: a function count");
-    }
-    if let Some(v) = pos.get(1) {
-        p.rounds = v.parse().expect("rounds: a sweep count");
-    }
-    if let Some(v) = pos.get(2) {
-        p.mem_mib = v.parse().expect("mem_mib: a MiB count");
-    }
+    p.fns = positional(pos, 0, "fns", p.fns);
+    p.rounds = positional(pos, 1, "rounds", p.rounds);
+    p.mem_mib = positional(pos, 2, "mem_mib", p.mem_mib);
     if let Some(blocks) = args.store_blocks {
         p.device_blocks = blocks;
     }

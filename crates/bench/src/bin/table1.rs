@@ -5,13 +5,10 @@
 //! cargo run --release -p seuss-bench --bin table1 [iterations] [--workers N]
 //! ```
 
-use seuss_bench::{positionals, ratio, run_table1, workers_arg, Table};
+use seuss_bench::{positional, positionals, ratio, run_table1, workers_arg, Table};
 
 fn main() {
-    let iterations: u32 = positionals()
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(475);
+    let iterations: u32 = positional(&positionals(), 0, "iterations", 475);
     let workers = workers_arg(2);
     eprintln!("running Table 1 microbenchmarks ({iterations} invocations per path, {workers} worker threads)…");
     let started = std::time::Instant::now();

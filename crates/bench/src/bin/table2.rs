@@ -4,13 +4,10 @@
 //! cargo run --release -p seuss-bench --bin table2 [iterations] [--workers N]
 //! ```
 
-use seuss_bench::{positionals, ratio, run_table2, workers_arg, Table};
+use seuss_bench::{positional, positionals, ratio, run_table2, workers_arg, Table};
 
 fn main() {
-    let iterations: u32 = positionals()
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
+    let iterations: u32 = positional(&positionals(), 0, "iterations", 100);
     let workers = workers_arg(3);
     eprintln!(
         "running Table 2 AO ablation ({iterations} invocations per cell, {workers} worker threads)…"

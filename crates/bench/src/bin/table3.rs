@@ -9,13 +9,10 @@
 //! deploys before extrapolating from the (constant) per-UC footprint;
 //! pass 0 to fill all of the 88 GB node with real deploys.
 
-use seuss_bench::{positionals, run_table3, workers_arg, Table};
+use seuss_bench::{positional, positionals, run_table3, workers_arg, Table};
 
 fn main() {
-    let cap: u64 = positionals()
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8_000);
+    let cap: u64 = positional(&positionals(), 0, "seuss_fill_cap", 8_000);
     let cap = if cap == 0 { None } else { Some(cap) };
     let workers = workers_arg(4);
     eprintln!(

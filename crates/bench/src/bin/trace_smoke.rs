@@ -6,13 +6,10 @@
 //! cargo run --release -p seuss-bench --bin trace_smoke [invocations]
 //! ```
 
-use seuss_bench::{positionals, run_trace_smoke};
+use seuss_bench::{positional, positionals, run_trace_smoke};
 
 fn main() {
-    let invocations: u64 = positionals()
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40);
+    let invocations: u64 = positional(&positionals(), 0, "invocations", 40);
     eprintln!("running traced trial ({invocations} invocations)…");
 
     let smoke = match run_trace_smoke(invocations) {

@@ -14,8 +14,12 @@
 //!
 //! All flags (and their values) are stripped from
 //! [`BenchArgs::positionals`], so the binaries' positional arguments
-//! keep working unchanged. The free functions below are thin wrappers
-//! over one [`BenchArgs::parse`] for binaries that only need one knob.
+//! keep working unchanged; [`positional`] reads one of them, and exits 2
+//! on a value that does not parse, like a malformed flag. The free
+//! functions below are thin wrappers over one [`BenchArgs::parse`] for
+//! binaries that only need one knob.
+
+use std::str::FromStr;
 
 use seuss::faults::{spec, FaultPlan};
 
@@ -45,6 +49,23 @@ pub struct BenchArgs {
 /// for zero or anything unparseable.
 fn parse_workers(value: &str) -> Option<usize> {
     value.trim().parse().ok().filter(|&n| n >= 1)
+}
+
+/// Positional argument `index`: `default` when absent, else its parse as
+/// a `T`. `None` when it is present but does not parse.
+fn parse_positional<T: FromStr>(args: &[String], index: usize, default: T) -> Option<T> {
+    match args.get(index) {
+        None => Some(default),
+        Some(v) => v.parse().ok(),
+    }
+}
+
+/// Positional argument `index`, called `name` in the error message:
+/// `default` when absent. A value that does not parse as a
+/// non-negative integer prints a usage error and exits 2.
+pub fn positional<T: FromStr>(args: &[String], index: usize, name: &str, default: T) -> T {
+    parse_positional(args, index, default)
+        .unwrap_or_else(|| bad_flag(name, &args[index], "a non-negative integer"))
 }
 
 /// A flag value: `--flag v` or `--flag=v`.
@@ -216,6 +237,20 @@ mod tests {
         assert_eq!(parse_workers("-1"), None);
         assert_eq!(parse_workers("four"), None);
         assert_eq!(parse_workers(""), None);
+    }
+
+    #[test]
+    fn positionals_parse_or_default_and_reject_garbage() {
+        let args = v(&["64", "abc", "-3", ""]);
+        assert_eq!(parse_positional(&args, 0, 7u64), Some(64));
+        assert_eq!(parse_positional(&args, 1, 7u64), None);
+        assert_eq!(parse_positional(&args, 2, 7u32), None);
+        assert_eq!(parse_positional(&args, 3, 7usize), None);
+        // Absent: the default, whatever the type.
+        assert_eq!(parse_positional(&args, 4, 7u64), Some(7));
+        assert_eq!(parse_positional(&[], 0, 475u32), Some(475));
+        assert_eq!(positional(&args, 0, "count", 1u64), 64);
+        assert_eq!(positional(&args, 9, "count", 1u64), 1);
     }
 
     #[test]

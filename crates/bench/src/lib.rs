@@ -45,7 +45,7 @@ pub mod table3;
 pub mod timing;
 pub mod traced;
 
-pub use cli::{fault_plan_arg, positionals, workers_arg, BenchArgs};
+pub use cli::{fault_plan_arg, positional, positionals, workers_arg, BenchArgs};
 pub use dr_seuss::{run_dr_seuss, DrSeussReport};
 pub use fig4::{run_fig4, Fig4Point};
 pub use fig5::{run_fig5, Fig5Row};

@@ -39,7 +39,22 @@ pub trait HeapBackend {
     fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), HeapError>;
     /// Reads `out.len()` bytes from `addr`.
     fn read(&mut self, addr: u64, out: &mut [u8]) -> Result<(), HeapError>;
+
+    /// Writes `bytes` at `addr` and at the same offset in each of the
+    /// `pages - 1` 4 KiB pages after it, stopping at the first error.
+    /// `bytes` must not cross a page boundary. The default is a loop of
+    /// [`HeapBackend::write`]; a backend that can walk a run of pages in
+    /// one pass overrides it with the same effect.
+    fn write_page_run(&mut self, addr: u64, pages: u64, bytes: &[u8]) -> Result<(), HeapError> {
+        for i in 0..pages {
+            self.write(addr + i * PAGE_SIZE, bytes)?;
+        }
+        Ok(())
+    }
 }
+
+/// The page size the heap commits at: one word per page.
+const PAGE_SIZE: u64 = 4096;
 
 /// Simple growable in-memory backend for tests and host tools.
 pub struct HostHeap {
@@ -153,12 +168,9 @@ impl BumpHeap {
         n: u64,
     ) -> Result<u64, HeapError> {
         let addr = self.alloc(n)?;
-        let mut off = 0u64;
-        while off < n {
-            backend.write(addr + off, &1u64.to_le_bytes())?;
-            self.stats.bytes_written += 8;
-            off += 4096;
-        }
+        let pages = n.div_ceil(PAGE_SIZE);
+        backend.write_page_run(addr, pages, &1u64.to_le_bytes())?;
+        self.stats.bytes_written += 8 * pages;
         Ok(addr)
     }
 

@@ -4,12 +4,18 @@
 //! only at a word or two (commit touches, slot writes). Materializing a
 //! full 4 KiB buffer per frame would cost the host as much memory as the
 //! simulated machine has, so content is stored sparsely and promoted to a
-//! dense page only when a frame accumulates enough distinct bytes.
+//! dense page only when a frame accumulates enough distinct bytes. The
+//! commonest case, one word written into a fresh frame, is held inline
+//! in the enum itself, so writing it (and cloning it on a COW break)
+//! touches no heap.
 
 use crate::addr::PAGE_SIZE;
 
 /// How many sparse bytes a frame may hold before promotion to dense.
 const SPARSE_LIMIT: usize = 128;
+
+/// The longest first write a frame holds inline (one machine word).
+const INLINE_MAX: usize = 8;
 
 /// Byte content of one frame, lazily and sparsely materialized.
 #[derive(Clone, Debug, Default)]
@@ -17,6 +23,18 @@ pub enum PageContent {
     /// Never written: reads as zeroes, costs nothing.
     #[default]
     Zero,
+    /// Exactly one written fragment of at most 8 bytes:
+    /// `word[..len]` at `offset`. Logically the same page as
+    /// `Sparse(vec![(offset, word[..len].to_vec())])`, without the two
+    /// heap allocations; it fits in the space `Sparse`'s `Vec` takes.
+    Inline {
+        /// Byte offset of the fragment.
+        offset: u16,
+        /// Fragment length, 1 to 8.
+        len: u8,
+        /// The fragment, zero-padded past `len`.
+        word: [u8; INLINE_MAX],
+    },
     /// A few written fragments: `(offset, bytes)`, non-overlapping,
     /// sorted by offset.
     Sparse(Vec<(u16, Vec<u8>)>),
@@ -42,6 +60,15 @@ impl PageContent {
             PageContent::Dense(page) => {
                 page[offset..offset + bytes.len()].copy_from_slice(bytes);
             }
+            PageContent::Zero if bytes.len() <= INLINE_MAX => {
+                let mut word = [0u8; INLINE_MAX];
+                word[..bytes.len()].copy_from_slice(bytes);
+                *self = PageContent::Inline {
+                    offset: offset as u16,
+                    len: bytes.len() as u8,
+                    word,
+                };
+            }
             PageContent::Zero => {
                 if bytes.len() > SPARSE_LIMIT {
                     self.promote();
@@ -49,6 +76,16 @@ impl PageContent {
                 } else {
                     *self = PageContent::Sparse(vec![(offset as u16, bytes.to_vec())]);
                 }
+            }
+            PageContent::Inline {
+                offset: fo,
+                len,
+                word,
+            } => {
+                // A second write takes exactly the path a one-fragment
+                // `Sparse` page takes.
+                *self = PageContent::Sparse(vec![(*fo, word[..*len as usize].to_vec())]);
+                self.write(offset, bytes);
             }
             PageContent::Sparse(frags) => {
                 let total: usize = frags.iter().map(|(_, b)| b.len()).sum();
@@ -98,32 +135,43 @@ impl PageContent {
             PageContent::Dense(page) => {
                 out.copy_from_slice(&page[offset..offset + out.len()]);
             }
-            PageContent::Sparse(frags) => {
+            PageContent::Inline { .. } | PageContent::Sparse(_) => {
                 out.fill(0);
                 let start = offset;
                 let end = offset + out.len();
-                for (fo, fb) in frags {
-                    let fs = *fo as usize;
+                self.for_each_fragment(|fs, fb| {
                     let fe = fs + fb.len();
                     if fe <= start || fs >= end {
-                        continue;
+                        return;
                     }
                     let copy_start = fs.max(start);
                     let copy_end = fe.min(end);
                     out[copy_start - start..copy_end - start]
                         .copy_from_slice(&fb[copy_start - fs..copy_end - fs]);
+                });
+            }
+        }
+    }
+
+    /// Calls `f(offset, bytes)` for each written fragment of an `Inline`
+    /// or `Sparse` page, in offset order; nothing for the other variants.
+    fn for_each_fragment(&self, mut f: impl FnMut(usize, &[u8])) {
+        match self {
+            PageContent::Inline { offset, len, word } => {
+                f(*offset as usize, &word[..*len as usize])
+            }
+            PageContent::Sparse(frags) => {
+                for (fo, fb) in frags {
+                    f(*fo as usize, fb);
                 }
             }
+            PageContent::Zero | PageContent::Dense(_) => {}
         }
     }
 
     fn promote(&mut self) {
         let mut page = Box::new([0u8; PAGE_SIZE]);
-        if let PageContent::Sparse(frags) = self {
-            for (fo, fb) in frags.iter() {
-                page[*fo as usize..*fo as usize + fb.len()].copy_from_slice(fb);
-            }
-        }
+        self.for_each_fragment(|fs, fb| page[fs..fs + fb.len()].copy_from_slice(fb));
         *self = PageContent::Dense(page);
     }
 
@@ -148,7 +196,7 @@ impl PageContent {
                 }
                 h
             }
-            PageContent::Sparse(frags) => {
+            PageContent::Inline { .. } | PageContent::Sparse(_) => {
                 // Hash as if the page were dense: zero bytes between
                 // fragments must contribute exactly like Dense's zeroes.
                 let mut h = OFFSET;
@@ -158,14 +206,13 @@ impl PageContent {
                         *h = h.wrapping_mul(PRIME);
                     }
                 };
-                for (fo, fb) in frags {
-                    let fs = *fo as usize;
+                self.for_each_fragment(|fs, fb| {
                     hash_zeroes(&mut h, fs - pos);
                     for &b in fb {
                         h = (h ^ b as u64).wrapping_mul(PRIME);
                     }
                     pos = fs + fb.len();
-                }
+                });
                 hash_zeroes(&mut h, PAGE_SIZE - pos);
                 h
             }
@@ -266,6 +313,59 @@ mod tests {
         dense.write(4000, b"tail");
         assert!(matches!(dense, PageContent::Dense(_)));
         assert_eq!(sparse.digest(), dense.digest());
+    }
+
+    #[test]
+    fn one_word_stays_inline_until_a_second_write() {
+        let mut c = PageContent::Zero;
+        c.write(4088, &7u64.to_le_bytes());
+        assert!(matches!(
+            c,
+            PageContent::Inline {
+                offset: 4088,
+                len: 8,
+                ..
+            }
+        ));
+        let mut buf = [0u8; 10];
+        c.read(4086, &mut buf);
+        assert_eq!(buf, [0, 0, 7, 0, 0, 0, 0, 0, 0, 0]);
+        c.write(4090, b"ab");
+        assert!(matches!(c, PageContent::Sparse(_)));
+        c.read(4086, &mut buf);
+        assert_eq!(buf, [0, 0, 7, 0, b'a', b'b', 0, 0, 0, 0]);
+        // Nine bytes are past the inline limit.
+        let mut wide = PageContent::Zero;
+        wide.write(0, &[1; 9]);
+        assert!(matches!(wide, PageContent::Sparse(_)));
+    }
+
+    #[test]
+    fn inline_fits_in_the_sparse_payload() {
+        assert_eq!(
+            std::mem::size_of::<PageContent>(),
+            std::mem::size_of::<Vec<(u16, Vec<u8>)>>()
+        );
+    }
+
+    #[test]
+    fn digest_inline_equals_sparse_and_dense() {
+        let mut inline = PageContent::Zero;
+        inline.write(100, b"word");
+        assert!(matches!(inline, PageContent::Inline { .. }));
+        let sparse = PageContent::Sparse(vec![(100, b"word".to_vec())]);
+        let mut dense = PageContent::Zero;
+        dense.write(0, &[0u8; 300]);
+        dense.write(100, b"word");
+        assert_eq!(inline.digest(), sparse.digest());
+        assert_eq!(inline.digest(), dense.digest());
+        // A clone promoted past the limit still reads the word.
+        let mut grown = inline.clone();
+        grown.write(1000, &[5u8; 200]);
+        assert!(matches!(grown, PageContent::Dense(_)));
+        let mut buf = [0u8; 4];
+        grown.read(100, &mut buf);
+        assert_eq!(&buf, b"word");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Property tests (driven by `seuss-check`): sparse page content must
 //! behave exactly like a dense 4 KiB byte array under any write/read
-//! sequence.
+//! sequence, through every representation (inline word, sparse
+//! fragments, dense page).
 
 use seuss_check::{check_with, ensure_eq, gen::Gen, Config};
 use seuss_mem::{PageContent, PAGE_SIZE};
@@ -22,6 +23,37 @@ fn write_ops(max_ops: usize) -> impl Gen<Value = Vec<WriteOp>> {
             WriteOp { offset, bytes }
         });
     seuss_check::vecs(op, 0, max_ops)
+}
+
+/// A word-sized write: mostly 1–8 bytes, in the first 64 bytes half of
+/// the time so that writes overlap, with an occasional wider write.
+fn small_write_op() -> impl Gen<Value = WriteOp> {
+    let bytes = || seuss_check::range(0u8, 255);
+    (
+        seuss_check::one_of(vec![
+            seuss_check::range(0usize, 64).boxed(),
+            seuss_check::range(0usize, PAGE_SIZE - 1).boxed(),
+        ]),
+        seuss_check::one_of(vec![
+            seuss_check::vecs(bytes(), 1, 8).boxed(),
+            seuss_check::vecs(bytes(), 1, 8).boxed(),
+            seuss_check::vecs(bytes(), 1, 8).boxed(),
+            seuss_check::vecs(bytes(), 9, 48).boxed(),
+        ]),
+    )
+        .map(|(offset, mut bytes)| {
+            bytes.truncate(PAGE_SIZE - offset);
+            WriteOp { offset, bytes }
+        })
+}
+
+/// Sequences of [`small_write_op`]: one op leaves a page inline, a few
+/// make it sparse, and enough cross the sparse limit and make it dense.
+fn small_write_ops() -> impl Gen<Value = Vec<WriteOp>> {
+    seuss_check::one_of(vec![
+        seuss_check::vecs(small_write_op(), 0, 3).boxed(),
+        seuss_check::vecs(small_write_op(), 0, 40).boxed(),
+    ])
 }
 
 fn apply(ops: &[WriteOp]) -> (PageContent, Vec<u8>) {
@@ -95,6 +127,33 @@ fn clone_is_snapshot_isolated() {
             let mut got = vec![0u8; PAGE_SIZE];
             frozen.read(0, &mut got);
             ensure_eq!(got, want);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn small_writes_match_dense_reference_and_digest() {
+    check_with(
+        Config::with_cases(256),
+        "content_small_writes",
+        &small_write_ops(),
+        |ops| {
+            let (content, reference) = apply(ops);
+            let mut full = vec![0u8; PAGE_SIZE];
+            content.read(0, &mut full);
+            ensure_eq!(&full, &reference);
+            // A page written whole is dense; a written page's digest must
+            // not depend on which representation the writes ended in.
+            if !ops.is_empty() {
+                let mut dense = PageContent::Zero;
+                dense.write(0, &reference);
+                ensure_eq!(content.digest(), dense.digest());
+            }
+            let inline = matches!(content, PageContent::Inline { .. });
+            let one_word = ops.iter().filter(|op| !op.bytes.is_empty()).count() == 1
+                && ops.iter().all(|op| op.bytes.len() <= 8);
+            ensure_eq!(inline, one_word);
             Ok(())
         },
     );

@@ -304,6 +304,65 @@ impl Mmu {
     ) -> Result<FrameId, PageFault> {
         let root = space.root();
         let l1 = self.exclusive_l1(mem, root, va).map_err(|_| self.oom(va))?;
+        self.write_leaf(mem, space, l1, va)
+    }
+
+    /// Writes `bytes` at `va`'s page offset in each of `pages` consecutive
+    /// pages, starting with `va`'s page; an empty `bytes` only touches
+    /// them. The result is that of `pages` calls of [`Mmu::touch_write`],
+    /// each followed by a [`PhysMemory::write`] of `bytes` to the frame it
+    /// returns: the same tables, frames, content, dirty set and
+    /// [`OpStats`], and on a fault the same pages written before it. The
+    /// walk reaches each L1 table once per run of pages under it, and
+    /// still counts three `levels_walked` for every page.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` runs past the end of the page from `va`'s offset.
+    pub fn write_page_run(
+        &mut self,
+        mem: &mut PhysMemory,
+        space: &mut AddressSpace,
+        va: VirtAddr,
+        pages: u64,
+        bytes: &[u8],
+    ) -> Result<(), PageFault> {
+        let offset = va.page_offset();
+        assert!(
+            offset + bytes.len() <= PAGE_SIZE,
+            "page-run write crosses a page boundary"
+        );
+        let mut l1 = None;
+        for i in 0..pages {
+            let cur = va.offset(i * PAGE_SIZE as u64);
+            // A page in the same L1 table as the one before: a fresh walk
+            // would find the path already exclusive and change nothing.
+            let table = match l1 {
+                Some(table) if cur.table_index(1) != 0 => {
+                    self.stats.levels_walked += 3;
+                    table
+                }
+                _ => self
+                    .exclusive_l1(mem, space.root(), cur)
+                    .map_err(|_| self.oom(cur))?,
+            };
+            l1 = Some(table);
+            let frame = self.write_leaf(mem, space, table, cur)?;
+            mem.write(frame, offset, bytes);
+        }
+        Ok(())
+    }
+
+    /// The write access to `va` once the walk has made its path private
+    /// down to `l1`: the protection check, then a COW break, an in-place
+    /// flag update, a swap-in or a demand-zero allocation.
+    fn write_leaf(
+        &mut self,
+        mem: &mut PhysMemory,
+        space: &mut AddressSpace,
+        l1: TableId,
+        va: VirtAddr,
+    ) -> Result<FrameId, PageFault> {
         let idx = va.table_index(1);
         let entry = self.store.node(l1).entries[idx];
         let frame = if entry.is_page() {

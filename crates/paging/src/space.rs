@@ -7,8 +7,6 @@
 //! are shared between a snapshot and every UC deployed from it, while
 //! capture needs *this UC's* writes only.
 
-use std::collections::BTreeSet;
-
 use seuss_mem::{VirtAddr, PAGE_SIZE};
 
 use crate::table::TableId;
@@ -61,8 +59,10 @@ impl Region {
 pub struct AddressSpace {
     root: TableId,
     regions: Vec<Region>,
-    /// Virtual page numbers written since creation (or last [`Self::take_dirty`]).
-    dirty: BTreeSet<u64>,
+    /// Virtual page numbers written since creation (or last
+    /// [`Self::take_dirty`]), sorted and unique. Writes mostly arrive in
+    /// ascending page order, so most notes are a push at the end.
+    dirty: Vec<u64>,
     /// Frames made private to this space since creation/capture
     /// (COW clones + demand-zero allocations). This is the footprint the
     /// paper reports per invocation path.
@@ -76,7 +76,7 @@ impl AddressSpace {
         AddressSpace {
             root,
             regions: Vec::new(),
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
             private_pages: 0,
         }
     }
@@ -117,7 +117,12 @@ impl AddressSpace {
 
     /// Records a write to the page containing `va`.
     pub(crate) fn note_write(&mut self, va: VirtAddr) {
-        self.dirty.insert(va.page_number());
+        let vpn = va.page_number();
+        if self.dirty.last().is_none_or(|&last| last < vpn) {
+            self.dirty.push(vpn);
+        } else if let Err(at) = self.dirty.binary_search(&vpn) {
+            self.dirty.insert(at, vpn);
+        }
     }
 
     /// Records that a frame became private to this space.
@@ -130,13 +135,14 @@ impl AddressSpace {
         self.dirty.len() as u64
     }
 
-    /// The dirty virtual page numbers, without draining.
+    /// The dirty virtual page numbers in ascending order, without draining.
     pub fn dirty_pages(&self) -> impl Iterator<Item = u64> + '_ {
         self.dirty.iter().copied()
     }
 
-    /// Drains and returns the dirty set (capture does this).
-    pub fn take_dirty(&mut self) -> BTreeSet<u64> {
+    /// Drains and returns the dirty set, sorted and unique (capture does
+    /// this).
+    pub fn take_dirty(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.dirty)
     }
 
@@ -202,6 +208,18 @@ mod tests {
         let drained = a.take_dirty();
         assert_eq!(drained.len(), 2);
         assert_eq!(a.dirty_count(), 0);
+    }
+
+    #[test]
+    fn dirty_list_stays_sorted_and_unique() {
+        let mut a = AddressSpace::from_root(TableId::from_index(0));
+        for vpn in [7u64, 3, 9, 3, 7, 1, 9, 12, 5, 12, 1] {
+            a.note_write(VirtAddr::new(vpn * PAGE_SIZE as u64 + 8));
+        }
+        let dirty: Vec<u64> = a.dirty_pages().collect();
+        assert_eq!(dirty, vec![1, 3, 5, 7, 9, 12]);
+        assert_eq!(a.dirty_count(), 6);
+        assert_eq!(a.take_dirty(), vec![1, 3, 5, 7, 9, 12]);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! [`UcMemory`] implements `miniscript::HeapBackend` over an
 //! `(Mmu, PhysMemory, AddressSpace)` triple: every interpreter write goes
-//! through [`seuss_paging::Mmu::write_bytes`], so it faults, COW-breaks,
-//! and dirties pages exactly like guest memory traffic.
+//! through [`seuss_paging::Mmu::write_bytes`] (a committed allocation's
+//! word per page through [`seuss_paging::Mmu::write_page_run`]), so it
+//! faults, COW-breaks, and dirties pages exactly like guest memory
+//! traffic.
 
 use miniscript::{HeapBackend, HeapError};
 use seuss_mem::{PhysMemory, VirtAddr};
@@ -40,6 +42,12 @@ impl HeapBackend for UcMemory<'_> {
     fn read(&mut self, addr: u64, out: &mut [u8]) -> Result<(), HeapError> {
         self.mmu
             .read_bytes(self.mem, self.space, VirtAddr::new(addr), out)
+            .map_err(map_fault)
+    }
+
+    fn write_page_run(&mut self, addr: u64, pages: u64, bytes: &[u8]) -> Result<(), HeapError> {
+        self.mmu
+            .write_page_run(self.mem, self.space, VirtAddr::new(addr), pages, bytes)
             .map_err(map_fault)
     }
 }

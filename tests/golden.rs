@@ -4,7 +4,9 @@
 //!
 //! Each trial case renders its records as JSONL (plus the trace JSONL
 //! and the metrics JSON when traced) and hashes the bytes; a driver case
-//! hashes its rendered report. A refactor that
+//! hashes its rendered report, or the `Debug` form of its typed result
+//! (every float at full precision) for the table and figure drivers,
+//! run at reduced sizes. A refactor that
 //! claims to keep behaviour must leave every digest unchanged; a change
 //! that moves behaviour on purpose rewrites `results/golden.txt` and
 //! says why.
@@ -17,7 +19,7 @@ use seuss::platform::{
 };
 use seuss::sim::{SimDuration, SimTime};
 use seuss::store::StoreConfig;
-use seuss_bench::{run_dr_seuss, run_trace_smoke};
+use seuss_bench::{run_dr_seuss, run_fig4, run_table1, run_table2, run_table3, run_trace_smoke};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/golden.txt");
 
@@ -211,16 +213,43 @@ fn dr_seuss_report() -> u64 {
     fnv1a(&[&r.render()])
 }
 
+/// Table 1 at 40 invocations per path. Its snapshot sizes and
+/// pages-copied column read the dirty set and the COW work of deploys.
+fn table1() -> u64 {
+    fnv1a(&[&format!("{:?}", run_table1(40, 2))])
+}
+
+/// Table 2's three AO levels at 10 invocations per cell.
+fn table2() -> u64 {
+    fnv1a(&[&format!("{:?}", run_table2(10, 2))])
+}
+
+/// Table 3 on the paper's 88 GiB node, with the SEUSS density fill
+/// capped at 400 deploys (the rest is extrapolated from their footprint).
+fn table3() -> u64 {
+    fnv1a(&[&format!("{:?}", run_table3(88 * 1024, Some(400), 2))])
+}
+
+/// Figure 4 from 64 to 1024 functions at N = 2048 on the paper's node.
+fn fig4_small() -> u64 {
+    let points = run_fig4(&[64, 128, 256, 512, 1024], Some(2048), 88 * 1024, 2);
+    fnv1a(&[&format!("{points:?}")])
+}
+
 #[test]
 fn trial_artifacts_match_the_golden_digests() {
     type Case = (&'static str, fn() -> u64);
-    let cases: [Case; 6] = [
+    let cases: [Case; 10] = [
         ("seuss_traced_trial", seuss_traced_trial),
         ("linux_past_cache_trial", linux_past_cache_trial),
         ("faulted_trial", faulted_trial),
         ("tiered_trial", tiered_trial),
         ("dr_seuss", dr_seuss_report),
         ("trace_smoke", trace_smoke),
+        ("table1", table1),
+        ("table2", table2),
+        ("table3", table3),
+        ("fig4_small", fig4_small),
     ];
     let actual: String = cases
         .iter()
